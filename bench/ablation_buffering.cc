@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   util::TextTable table({"kernel", "buffers", "bank offsets", "run time [s]",
                          "LS used [KB]", "MIC busy [s]"});
   bench::BenchJson json("ablation_buffering", opt.cube);
-  for (sweep::KernelKind kernel :
-       {sweep::KernelKind::kScalar, sweep::KernelKind::kSimd}) {
+  for (core::KernelKind kernel :
+       {core::KernelKind::kScalar, core::KernelKind::kSimd}) {
     for (int buffers : {1, 2}) {
       for (bool offsets : {false, true}) {
         const sweep::Problem problem =
@@ -24,19 +24,18 @@ int main(int argc, char** argv) {
         core::CellSweepConfig cfg = core::CellSweepConfig::from_stage(
             core::OptimizationStage::kSpeLsPoke);
         cfg.kernel = kernel;
-        cfg.sweep.kernel = kernel;
         cfg.buffers = buffers;
         cfg.bank_offsets = offsets;
         core::CellSweep3D runner(problem, cfg);
         const core::RunReport r = runner.run(core::RunMode::kTraceDriven);
-        json.add_run(std::string(kernel == sweep::KernelKind::kScalar
+        json.add_run(std::string(kernel == core::KernelKind::kScalar
                                      ? "scalar"
                                      : "simd") +
                          "_buf" + std::to_string(buffers) +
                          (offsets ? "_offsets" : "_flat"),
                      r);
         table.add_row(
-            {kernel == sweep::KernelKind::kScalar ? "scalar" : "SIMD",
+            {kernel == core::KernelKind::kScalar ? "scalar" : "SIMD",
              bench::fmt("%.0f", buffers), offsets ? "yes" : "no",
              bench::fmt("%.3f", r.seconds),
              bench::fmt("%.0f", r.ls_high_water / 1024.0),

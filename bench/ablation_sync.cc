@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   util::TextTable table(
       {"kernel", "sync protocol", "run time [s]", "grants"});
   bench::BenchJson json("ablation_sync", opt.cube);
-  for (sweep::KernelKind kernel :
-       {sweep::KernelKind::kScalar, sweep::KernelKind::kSimd}) {
+  for (core::KernelKind kernel :
+       {core::KernelKind::kScalar, core::KernelKind::kSimd}) {
     for (cell::SyncProtocol sync :
          {cell::SyncProtocol::kMailbox, cell::SyncProtocol::kLsPoke,
           cell::SyncProtocol::kAtomicDistributed}) {
@@ -24,17 +24,16 @@ int main(int argc, char** argv) {
       core::CellSweepConfig cfg = core::CellSweepConfig::from_stage(
           core::OptimizationStage::kSpeLsPoke);
       cfg.kernel = kernel;
-      cfg.sweep.kernel = kernel;
       cfg.sync = sync;
       core::CellSweep3D runner(problem, cfg);
       const core::RunReport r = runner.run(core::RunMode::kTraceDriven);
-      json.add_run(std::string(kernel == sweep::KernelKind::kScalar
+      json.add_run(std::string(kernel == core::KernelKind::kScalar
                                    ? "scalar_"
                                    : "simd_") +
                        cell::sync_protocol_name(sync),
                    r);
       table.add_row(
-          {kernel == sweep::KernelKind::kScalar ? "scalar" : "SIMD",
+          {kernel == core::KernelKind::kScalar ? "scalar" : "SIMD",
            cell::sync_protocol_name(sync), bench::fmt("%.3f", r.seconds),
            bench::fmt("%.0f", r.dispatch_busy_grants)});
     }

@@ -19,15 +19,13 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/perf_diff.h"
 #include "core/metrics.h"
 #include "core/orchestrator.h"
 #include "util/table.h"
 #include "util/units.h"
 
 namespace cellsweep::bench {
-
-/// The BENCH JSON layout version (tools/perf_diff checks it).
-inline constexpr const char* kBenchSchema = "cellsweep-bench-v2";
 
 /// Runs one optimization stage on an n-cubed benchmark problem with the
 /// paper's deck (12 iterations, fixups in the last two) and returns the
@@ -131,8 +129,9 @@ class BenchJson {
       std::cerr << "bench: cannot write " << path << "\n";
       return false;
     }
-    os << "{\n  \"schema\": \"" << kBenchSchema << "\",\n  \"scenario\": \""
-       << scenario_ << "\",\n  \"fingerprint\": {\"cube\": " << cube_
+    os << "{\n  \"schema\": \"" << analysis::kBenchSchema
+       << "\",\n  \"scenario\": \"" << scenario_
+       << "\",\n  \"fingerprint\": {\"cube\": " << cube_
        << ", \"iterations\": " << iterations_ << "},\n  \"runs\": [";
     for (std::size_t i = 0; i < runs_.size(); ++i) {
       const auto& [name, r] = runs_[i];

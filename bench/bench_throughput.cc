@@ -312,7 +312,7 @@ int main(int argc, char** argv) {
       std::cerr << "bench: cannot write " << path << "\n";
       return 1;
     }
-    os << "{\n  \"schema\": \"" << bench::kBenchSchema
+    os << "{\n  \"schema\": \"" << analysis::kBenchSchema
        << "\",\n  \"scenario\": \"latency-load\",\n  \"fingerprint\": {"
        << "\"cube\": " << cube << ", \"stencil_cube\": " << stencil_cube
        << ", \"jobs\": " << kLoadJobs << ", \"spes\": " << chip_spes
@@ -347,7 +347,7 @@ int main(int argc, char** argv) {
       std::cerr << "bench: cannot write " << path << "\n";
       return 1;
     }
-    os << "{\n  \"schema\": \"" << bench::kBenchSchema
+    os << "{\n  \"schema\": \"" << analysis::kBenchSchema
        << "\",\n  \"scenario\": \"throughput\",\n  \"fingerprint\": {"
        << "\"cube\": " << cube << ", \"stencil_cube\": " << stencil_cube
        << ", \"sweep_jobs\": " << kSweepJobs

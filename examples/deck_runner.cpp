@@ -747,23 +747,7 @@ int main(int argc, char** argv) {
             << deck.sweep.mk << " MMI=" << deck.sweep.mmi << "\n";
 
   deck.sweep.threads = threads;
-
-  if (deck.problem.any_reflective() || cli.get_bool("functional")) {
-    // Reflective decks need the functional solver for physics.
-    sweep::SnQuadrature quad(deck.sn_order);
-    sweep::SweepState<double> state(deck.problem, quad, 2, deck.nm_cap);
-    const sweep::SolveResult r =
-        sweep::solve_source_iteration(state, deck.sweep);
-    std::cout << "Solve: " << r.iterations << " iterations, change "
-              << r.final_change << (r.converged ? " (converged)" : "")
-              << "; absorption " << state.absorption_rate() << ", leakage "
-              << state.leakage().total() << ", fixup cells "
-              << r.totals.fixup_cells << "\n";
-  }
-
   cfg.sweep = deck.sweep;
-  cfg.sweep.kernel = cfg.kernel;
-  cfg.sweep.epsilon = 0.0;  // the timing model replays a fixed count
 
   // --check: lint the deck, then observe the run with the hazard
   // checker; any finding is a hard error.
@@ -775,15 +759,28 @@ int main(int argc, char** argv) {
     cfg.hazard = &checker;
   }
 
+  // Reflective decks need the functional solver for physics.
+  const core::RunMode mode =
+      deck.problem.any_reflective() || cli.get_bool("functional")
+          ? core::RunMode::kFunctional
+          : core::RunMode::kTraceDriven;
   core::CellSweep3D runner(deck.problem, cfg, deck.sn_order, 2, deck.nm_cap);
   const core::RunReport rep = [&] {
     try {
-      return runner.run(core::RunMode::kTraceDriven);
+      return runner.run(mode);
     } catch (const sim::FaultError& e) {
       std::cerr << "deck_runner: " << e.what() << "\n";
       std::exit(1);
     }
   }();
+  if (rep.solve) {
+    const sweep::SolveResult& r = *rep.solve;
+    std::cout << "Solve: " << r.iterations << " iterations, change "
+              << r.final_change << (r.converged ? " (converged)" : "")
+              << "; absorption " << rep.absorption << ", leakage "
+              << rep.leakage.total() << ", fixup cells "
+              << r.totals.fixup_cells << "\n";
+  }
   if (check) {
     for (const analysis::Diagnostic& d : diags.entries())
       std::cerr << deck.source << ": " << d.to_string() << "\n";

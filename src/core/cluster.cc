@@ -22,7 +22,7 @@ void feed_block(TimingEngine& engine, const sweep::Grid& tile,
     const int nlines = sweep::ChunkPlan::lines_on_diagonal(cfg, tile.jt, d);
     if (nlines > 0)
       engine.on_diagonal(sweep::DiagonalWork{iq, ab, kb, d, nlines, tile.it,
-                                             fixup, cfg.kernel});
+                                             fixup});
   }
 }
 
@@ -56,7 +56,6 @@ ClusterReport simulate_cluster(const sweep::Grid& global,
   const sweep::Grid tile{global.it / px, global.jt / py, global.kt,
                          global.dx, global.dy, global.dz};
   CellSweepConfig chip = cluster.chip;
-  chip.sweep.kernel = chip.kernel;
   const sweep::SnQuadrature quad(6);
   const int angles = quad.angles_per_octant();
   chip.sweep.validate(tile.kt, angles);

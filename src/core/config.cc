@@ -31,14 +31,14 @@ CellSweepConfig CellSweepConfig::from_stage(OptimizationStage s) {
     case OptimizationStage::kPpeGcc:
       c.use_spes = false;
       c.xlc = false;
-      c.kernel = sweep::KernelKind::kScalar;
+      c.kernel = KernelKind::kScalar;
       break;
     case OptimizationStage::kPpeXlc:
       c.use_spes = false;
-      c.kernel = sweep::KernelKind::kScalar;
+      c.kernel = KernelKind::kScalar;
       break;
     case OptimizationStage::kSpeInitial:
-      c.kernel = sweep::KernelKind::kScalar;
+      c.kernel = KernelKind::kScalar;
       c.aligned_rows = false;
       c.gotos_eliminated = false;
       c.buffers = 1;
@@ -47,14 +47,14 @@ CellSweepConfig CellSweepConfig::from_stage(OptimizationStage s) {
       c.sync = cell::SyncProtocol::kMailbox;
       break;
     case OptimizationStage::kSpeAligned:
-      c.kernel = sweep::KernelKind::kScalar;
+      c.kernel = KernelKind::kScalar;
       c.buffers = 1;
       c.dma_lists = false;
       c.bank_offsets = false;
       c.sync = cell::SyncProtocol::kMailbox;
       break;
     case OptimizationStage::kSpeBuffered:
-      c.kernel = sweep::KernelKind::kScalar;
+      c.kernel = KernelKind::kScalar;
       c.dma_lists = false;
       c.bank_offsets = false;
       c.sync = cell::SyncProtocol::kMailbox;

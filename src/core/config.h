@@ -29,6 +29,14 @@ namespace cellsweep::core {
 class KernelCostModel;
 class SpeAllocator;
 
+/// Which chunk kernel the timing model prices. The physics always runs
+/// the scalar line kernel (bit-identical to the SIMD bundle); only the
+/// simulated SPU time depends on this choice.
+enum class KernelKind : std::uint8_t {
+  kScalar,  ///< Figure 8 scalar code (PPE / pre-SIMD SPE path)
+  kSimd,    ///< Figure 7 four-logical-thread SIMD bundles
+};
+
 /// Numeric precision of the kernels and DMA payloads.
 enum class Precision : std::uint8_t { kDouble, kSingle };
 
@@ -108,7 +116,7 @@ struct StreamConfig {
 struct CellSweepConfig {
   bool use_spes = true;  ///< false: the computation stays on the PPE
   bool xlc = true;       ///< PPE compiler quality (stage 0 vs 1)
-  sweep::KernelKind kernel = sweep::KernelKind::kSimd;
+  KernelKind kernel = KernelKind::kSimd;
   /// 128-byte alignment of every DMA'd row (Section 5 step 3 plus the
   /// "rows of the multi-dimensional arrays are 128-byte aligned" fix).
   bool aligned_rows = true;

@@ -242,7 +242,7 @@ cell::ScheduleResult KernelCostModel::schedule_scalar_chunk(
   return r;
 }
 
-const ChunkCost& KernelCostModel::chunk_cost(sweep::KernelKind kind,
+const ChunkCost& KernelCostModel::chunk_cost(KernelKind kind,
                                              Precision precision, int nlines,
                                              int it, int nm, bool fixup,
                                              bool gotos_eliminated) {
@@ -252,7 +252,7 @@ const ChunkCost& KernelCostModel::chunk_cost(sweep::KernelKind kind,
   if (it_cache != cache_.end()) return it_cache->second;
 
   const cell::ScheduleResult sched =
-      kind == sweep::KernelKind::kSimd
+      kind == KernelKind::kSimd
           ? schedule_simd_chunk(precision, nlines, it, nm, fixup)
           : schedule_scalar_chunk(precision, nlines, it, nm, fixup,
                                   gotos_eliminated);

@@ -44,7 +44,7 @@ class KernelCostModel {
 
   /// Cycles (and stats) to process one chunk of @p nlines I-lines of
   /// length @p it with @p nm moments.
-  const ChunkCost& chunk_cost(sweep::KernelKind kind, Precision precision,
+  const ChunkCost& chunk_cost(KernelKind kind, Precision precision,
                               int nlines, int it, int nm, bool fixup,
                               bool gotos_eliminated);
 

@@ -99,7 +99,7 @@ void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
   specs.reserve(plan.chunks().size());
   for (const sweep::ChunkDesc& pc : plan.chunks()) {
     const ChunkCost& cost =
-        kernels_.chunk_cost(w.kernel, cfg_.precision, pc.nlines, w.it, nm_,
+        kernels_.chunk_cost(cfg_.kernel, cfg_.precision, pc.nlines, w.it, nm_,
                             w.fixup, cfg_.gotos_eliminated);
     StreamChunkSpec sc;
     sc.index = pc.index;
@@ -131,7 +131,6 @@ CellSweep3D::CellSweep3D(const sweep::Problem& problem,
                          const CellSweepConfig& cfg, int sn_order, int l_max,
                          int nm_cap)
     : problem_(&problem), cfg_(cfg), sn_order_(sn_order), l_max_(l_max) {
-  cfg_.sweep.kernel = cfg_.kernel;
   std::optional<sweep::SnQuadrature> own;
   const sweep::SnQuadrature& quad = quadrature(own);
   cfg_.sweep.validate(problem.grid().kt, quad.angles_per_octant());

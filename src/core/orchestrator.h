@@ -7,8 +7,9 @@
 // (sweep/plan.h) the functional sweeper executes; each chunk's working
 // set streams
 // through the local store with single or double buffering (data
-// streaming); the chunk kernel is the scalar or the four-logical-thread
-// SIMD one (vector + pipeline levels). The TimingEngine walks the same
+// streaming); the chunk kernel is priced as the scalar or the
+// four-logical-thread SIMD one (vector + pipeline levels), per
+// CellSweepConfig::kernel. The TimingEngine walks the same
 // DiagonalWork stream the functional sweeper emits and translates each
 // diagonal into one core::StreamingPipeline batch: the pipeline owns
 // the machine model's clocks -- dispatch-fabric grants, MFC DMA
@@ -20,8 +21,10 @@
 // block barriers, and the per-iteration source rebuild pass.
 //
 // Two run modes produce identical timing (a test asserts it):
-//   * kFunctional  -- the physics really runs; the observer feeds the
-//     engine (execution-driven). Use for correctness and examples.
+//   * kFunctional  -- the physics really runs, always on the scalar
+//     line kernel (bit-identical to the SIMD bundle, so the kernel kind
+//     changes only the simulated time); the observer feeds the engine
+//     (execution-driven). Use for correctness and examples.
 //   * kTraceDriven -- only the loop structure is replayed (fast; the
 //     benches use it for big sweeps).
 #pragma once

@@ -56,7 +56,7 @@ void enumerate_sweep(const sweep::Grid& grid, int angles_per_octant,
               sweep::ChunkPlan::lines_on_diagonal(cfg, grid.jt, d);
           if (nlines > 0)
             observer(sweep::DiagonalWork{iq, ab, kb, d, nlines, grid.it,
-                                         fixup, cfg.kernel});
+                                         fixup});
         }
 }
 

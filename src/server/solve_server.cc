@@ -526,7 +526,6 @@ JobResult SolveServer::run_sweep(Job& job) {
   sweep::Deck& deck = *job.deck;
   CellSweepConfig cfg = base_;
   cfg.sweep = deck.sweep;
-  cfg.sweep.kernel = cfg.kernel;
   cfg.sweep.pool = &pool_;
   cfg.spe_allocator = &alloc_;
   cfg.min_spes = cfg_.min_spes;

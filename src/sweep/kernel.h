@@ -16,18 +16,21 @@
 // set-to-zero fixup re-solves the balance with that face's outflow
 // pinned to zero ("do_fixups" in the paper's pseudo-code).
 //
-// Two kernels implement the same math:
-//   * sweep_line_scalar  -- straight scalar code (the PPE / pre-SIMD
-//     SPE code path);
-//   * the SIMD bundle kernel in kernel_simd.h -- four "logical
-//     threads" of vectorization over spu:: intrinsics (Figure 7).
-// Both produce bit-identical double-precision results; the test suite
-// enforces this.
+// sweep_line_scalar below is the kernel that computes all physics: the
+// functional solve runs it for every I-line, whichever kernel the timing
+// model prices. The SIMD bundle kernel in kernel_simd.h implements the
+// same math as four "logical threads" over spu:: intrinsics (Figure 7);
+// it is run only to record the SPU instruction trace of a SIMD chunk,
+// and tests/kernel_test.cc pins it bit-equal to this kernel.
 #pragma once
 
 #include <cstdint>
 
 namespace cellsweep::sweep {
+
+/// Maximum I-lines per SPE work chunk ("chunks of four iterations",
+/// paper Section 6).
+inline constexpr int kBundleLines = 4;
 
 /// Inputs/outputs of one I-line solve for one angle.
 template <typename Real>

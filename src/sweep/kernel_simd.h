@@ -13,10 +13,16 @@
 //     i-recursion advances two lines per vec_double2 chain, two chains
 //     deep, which also masks the 13-cycle DP latency.
 //
+// This kernel exists to produce the SPU instruction trace of a SIMD
+// chunk: core::record_simd_chunk_trace runs it under a TraceRecorder
+// and the timing model schedules the recorded dataflow. It computes no
+// physics of the functional solve, which always runs sweep_line_scalar.
 // Every lane performs the same arithmetic, in the same order, as the
-// scalar kernel (and this library builds with -ffp-contract=off), so
-// double-precision results are bit-identical to sweep_line_scalar --
-// enforced by tests/sweep_kernel_test.cc.
+// scalar kernel (and cs_sweep/cs_spu build with -ffp-contract=off), so
+// its results are bit-identical to sweep_line_scalar in both
+// precisions -- enforced by tests/kernel_test.cc, which is what lets
+// the timing model price the SIMD kernel for physics the scalar kernel
+// computed.
 #pragma once
 
 #include <array>
@@ -27,10 +33,6 @@
 #include "util/aligned.h"
 
 namespace cellsweep::sweep {
-
-/// Maximum I-lines per SPE work chunk ("chunks of four iterations",
-/// paper Section 6).
-inline constexpr int kBundleLines = 4;
 
 /// SIMD shape per precision: vec type, lanes per vector, and how many
 /// vector chains cover the four logical threads.

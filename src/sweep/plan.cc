@@ -4,13 +4,13 @@
 #include <stdexcept>
 #include <string>
 
-#include "sweep/kernel_simd.h"
+#include "sweep/kernel.h"
 
 namespace cellsweep::sweep {
 
 ChunkPlan::ChunkPlan(const SweepConfig& cfg, int jt, int it, int diagonal,
                      bool fixup)
-    : diagonal_(diagonal), it_(it), fixup_(fixup), kernel_(cfg.kernel) {
+    : diagonal_(diagonal), it_(it), fixup_(fixup) {
   lines_.reserve(static_cast<std::size_t>(cfg.mmi) * cfg.mk);
   for (int mh = 0; mh < cfg.mmi; ++mh)
     for (int kk = 0; kk < cfg.mk; ++kk) {
@@ -28,7 +28,6 @@ ChunkPlan::ChunkPlan(const SweepConfig& cfg, int jt, int it, int diagonal,
 
 ChunkPlan::ChunkPlan(const SweepConfig& cfg, int jt, const DiagonalWork& w)
     : ChunkPlan(cfg, jt, w.it, w.diagonal, w.fixup) {
-  kernel_ = w.kernel;
   if (nlines() != w.nlines)
     throw std::logic_error(
         "ChunkPlan: DiagonalWork reports " + std::to_string(w.nlines) +

@@ -60,7 +60,6 @@ class ChunkPlan {
   int diagonal() const noexcept { return diagonal_; }
   int it() const noexcept { return it_; }
   bool fixup() const noexcept { return fixup_; }
-  KernelKind kernel() const noexcept { return kernel_; }
 
   int nlines() const noexcept { return static_cast<int>(lines_.size()); }
   bool empty() const noexcept { return lines_.empty(); }
@@ -88,7 +87,6 @@ class ChunkPlan {
   int diagonal_ = 0;
   int it_ = 0;
   bool fixup_ = false;
-  KernelKind kernel_ = KernelKind::kSimd;
   std::vector<LineCoord> lines_;
   std::vector<ChunkDesc> chunks_;
 };

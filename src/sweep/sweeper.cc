@@ -54,12 +54,6 @@ SweepState<Real>::SweepState(const Problem& problem, const SnQuadrature& quad,
         qext_.at(k, j, i) = static_cast<Real>(mat.q_ext);
         cell_material_[g.index(i, j, k)] = problem.material_index(i, j, k);
       }
-  // Padding cells must carry a benign sigma_t: SIMD lanes may divide by
-  // sigt in the padded tail.
-  for (int k = 0; k < g.kt; ++k)
-    for (int j = 0; j < g.jt; ++j)
-      for (int i = g.it; i < sigt_.it_padded(); ++i)
-        sigt_.at(k, j, i) = Real(1);
 
   // Per-material source-moment coefficients (2l+1) * sigma_s,l mapped
   // onto the moment index.
@@ -109,7 +103,6 @@ SweepState<Real>::SweepState(const Problem& problem, const SnQuadrature& quad,
     refl_k_.assign(2ull * 8 * mm * g.jt * it_pad, Real(0));
   }
 
-  scratch_.push_back(std::make_unique<BundleScratch<Real>>(flux_.it_padded()));
   worker_stats_.resize(1);
 }
 
@@ -243,13 +236,8 @@ void SweepState<Real>::sweep_block(const SweepConfig& cfg, bool fixup, int iq,
     const auto run_chunk = [&](int c, int worker) {
       const ChunkDesc& ch = plan.chunks()[c];
       KernelStats& ks = worker_stats_[worker];
-      if (cfg.kernel == KernelKind::kSimd) {
-        sweep_bundle_simd(diag_args_.data() + ch.first_line, ch.nlines,
-                          fixup, *scratch_[worker], &ks);
-      } else {
-        for (int b = 0; b < ch.nlines; ++b)
-          sweep_line_scalar(diag_args_[ch.first_line + b], fixup, &ks);
-      }
+      for (int b = 0; b < ch.nlines; ++b)
+        sweep_line_scalar(diag_args_[ch.first_line + b], fixup, &ks);
     };
     const int nchunks = static_cast<int>(plan.chunks().size());
     if (active_pool_) {
@@ -261,8 +249,7 @@ void SweepState<Real>::sweep_block(const SweepConfig& cfg, bool fixup, int iq,
     stats.chunks += nchunks;
     stats.lines += plan.nlines();
     if (observer) {
-      observer(DiagonalWork{iq, ab, kb, d, plan.nlines(), g.it, fixup,
-                            cfg.kernel});
+      observer(DiagonalWork{iq, ab, kb, d, plan.nlines(), g.it, fixup});
     }
   }
 
@@ -377,7 +364,7 @@ SweepRunStats SweepState<Real>::sweep(const SweepConfig& cfg, bool fixup,
   // Host executor: an injected shared pool wins (its width sets the
   // worker count); otherwise one owned pool sized by cfg.threads, kept
   // across sweeps and rebuilt only when the thread count changes. One
-  // scratch and stats slot per worker either way.
+  // stats slot per worker either way.
   int threads = cfg.threads;
   if (cfg.pool != nullptr) {
     threads = cfg.pool->size();
@@ -390,9 +377,6 @@ SweepRunStats SweepState<Real>::sweep(const SweepConfig& cfg, bool fixup,
     }
     active_pool_ = pool_.get();
   }
-  while (static_cast<int>(scratch_.size()) < threads)
-    scratch_.push_back(
-        std::make_unique<BundleScratch<Real>>(flux_.it_padded()));
   worker_stats_.assign(threads, KernelStats{});
 
   flux_.fill(Real(0));

@@ -7,10 +7,13 @@
 // JK-diagonals, and all I-lines on one diagonal are independent -- the
 // property the Cell port's thread-level parallelization relies on
 // (Section 4, level 2). Each diagonal's decomposition into chunks comes
-// from the shared ChunkPlan layer (sweep/plan.h); with
-// SweepConfig::threads > 1 the chunks of a diagonal execute in parallel
-// on a host thread pool (every I-line writes disjoint flux cells and
-// face entries, so the result is bitwise identical to the serial run).
+// from the shared ChunkPlan layer (sweep/plan.h); every I-line is solved
+// by the scalar kernel sweep_line_scalar (the SIMD bundle kernel computes
+// the same bits and is run only to record SPU instruction traces for the
+// timing model). With SweepConfig::threads > 1 the chunks of a diagonal
+// execute in parallel on a host thread pool (every I-line writes
+// disjoint flux cells and face entries, so the result is bitwise
+// identical to the serial run).
 // A DiagonalObserver hook exposes each diagonal's work list so the Cell
 // orchestrator (src/core) can replay the same stream through the
 // machine model; a BoundaryIO hook injects/extracts block
@@ -25,22 +28,14 @@
 
 #include "sweep/field.h"
 #include "sweep/kernel.h"
-#include "sweep/kernel_simd.h"
 #include "sweep/problem.h"
 #include "sweep/quadrature.h"
 #include "util/thread_pool.h"
 
 namespace cellsweep::sweep {
 
-/// Which kernel implementation performs the I-line solves.
-enum class KernelKind : std::uint8_t {
-  kScalar,  ///< Figure 8 scalar code (PPE / pre-SIMD SPE path)
-  kSimd,    ///< Figure 7 four-logical-thread SIMD bundles
-};
-
 /// Blocking and iteration parameters (Sweep3D input-deck equivalents).
 struct SweepConfig {
-  KernelKind kernel = KernelKind::kSimd;
   int mk = 10;   ///< K-planes per pipeline block (must divide kt)
   int mmi = 3;   ///< angles per pipeline block (paper: "MMI is 1 or 3")
   int max_iterations = 12;
@@ -78,7 +73,6 @@ struct DiagonalWork {
   int nlines = 0;
   int it = 0;
   bool fixup = false;
-  KernelKind kernel = KernelKind::kSimd;
 };
 
 /// Observer of the work stream (timing models attach here).
@@ -223,13 +217,10 @@ class SweepState {
 
   // Host execution resources, sized at sweep() entry: the shared
   // SweepConfig::pool when one is injected, else an owned pool sized by
-  // SweepConfig::threads. Each worker owns its BundleScratch: SIMD
-  // bundles must never share scratch across threads, and per-worker
-  // KernelStats keep the counters race-free (summed into SweepRunStats
-  // after the sweep).
+  // SweepConfig::threads. Per-worker KernelStats keep the counters
+  // race-free (summed into SweepRunStats after the sweep).
   std::unique_ptr<util::ThreadPool> pool_;  // null when threads == 1
   util::ThreadPool* active_pool_ = nullptr;  // the pool this sweep uses
-  std::vector<std::unique_ptr<BundleScratch<Real>>> scratch_;
   std::vector<KernelStats> worker_stats_;
   std::vector<LineArgs<Real>> diag_args_;  // one diagonal's line args
 };

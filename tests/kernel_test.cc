@@ -190,13 +190,14 @@ TEST_P(KernelEquivalence, SimdBundleBitEqualsScalarDouble) {
     ASSERT_EQ(scalar_prob.phi_i[l], simd_prob.phi_i[l]);
   }
   EXPECT_EQ(s1.cells, s2.cells);
+  EXPECT_EQ(s1.fixups_applied, s2.fixups_applied);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, KernelEquivalence,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),   // nlines
                        ::testing::Values(1, 7, 50),     // it
-                       ::testing::Values(1, 6, 9),      // nm
+                       ::testing::Values(1, 6, 9, 16),  // nm
                        ::testing::Bool(),               // thick/fixup
                        ::testing::Values(+1, -1)));     // direction
 
@@ -207,19 +208,34 @@ TEST_P(KernelEquivalenceSp, SimdBundleBitEqualsScalarSingle) {
   LineProblem<float> scalar_prob(nlines, it, nm, thick, 7);
   LineProblem<float> simd_prob(nlines, it, nm, thick, 7);
 
+  KernelStats s1, s2;
   for (int l = 0; l < nlines; ++l) {
     LineArgs<float> a = scalar_prob.args(l, dir);
-    sweep_line_scalar(a, thick, nullptr);
+    sweep_line_scalar(a, thick, &s1);
   }
   std::vector<LineArgs<float>> bundle;
   for (int l = 0; l < nlines; ++l) bundle.push_back(simd_prob.args(l, dir));
   BundleScratch<float> scratch(it);
-  sweep_bundle_simd(bundle.data(), nlines, thick, scratch, nullptr);
+  sweep_bundle_simd(bundle.data(), nlines, thick, scratch, &s2);
 
-  for (int l = 0; l < nlines; ++l)
-    for (int i = 0; i < it; ++i)
+  for (int l = 0; l < nlines; ++l) {
+    for (int n = 0; n < nm; ++n)
+      for (int i = 0; i < it; ++i) {
+        const std::size_t idx =
+            static_cast<std::size_t>(n) * util::padded_extent<float>(it) + i;
+        ASSERT_EQ(scalar_prob.flux[l][idx], simd_prob.flux[l][idx])
+            << "line " << l << " moment " << n << " cell " << i;
+      }
+    for (int i = 0; i < it; ++i) {
       ASSERT_EQ(scalar_prob.phi_j[l][i], simd_prob.phi_j[l][i])
           << "line " << l << " cell " << i;
+      ASSERT_EQ(scalar_prob.phi_k[l][i], simd_prob.phi_k[l][i])
+          << "line " << l << " cell " << i;
+    }
+    ASSERT_EQ(scalar_prob.phi_i[l], simd_prob.phi_i[l]) << "line " << l;
+  }
+  EXPECT_EQ(s1.cells, s2.cells);
+  EXPECT_EQ(s1.fixups_applied, s2.fixups_applied);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -94,10 +94,10 @@ TEST_F(KernelTimingTest, FullyPipelinedDpCutsCycles) {
 }
 
 TEST_F(KernelTimingTest, CostCacheConsistent) {
-  const ChunkCost& a = model_.chunk_cost(sweep::KernelKind::kSimd,
+  const ChunkCost& a = model_.chunk_cost(KernelKind::kSimd,
                                          Precision::kDouble, 4, 50, 6, false,
                                          true);
-  const ChunkCost& b = model_.chunk_cost(sweep::KernelKind::kSimd,
+  const ChunkCost& b = model_.chunk_cost(KernelKind::kSimd,
                                          Precision::kDouble, 4, 50, 6, false,
                                          true);
   EXPECT_EQ(&a, &b);  // cached entry reused
@@ -107,9 +107,9 @@ TEST_F(KernelTimingTest, CostCacheConsistent) {
 
 TEST_F(KernelTimingTest, CyclesScaleWithLines) {
   const ChunkCost& one = model_.chunk_cost(
-      sweep::KernelKind::kSimd, Precision::kDouble, 1, 50, 6, false, true);
+      KernelKind::kSimd, Precision::kDouble, 1, 50, 6, false, true);
   const ChunkCost& four = model_.chunk_cost(
-      sweep::KernelKind::kSimd, Precision::kDouble, 4, 50, 6, false, true);
+      KernelKind::kSimd, Precision::kDouble, 4, 50, 6, false, true);
   // A one-line bundle still executes full-width vector ops (inactive
   // lanes carry dummies), so flops scale sublinearly with lines...
   EXPECT_GT(four.flops, one.flops);
@@ -121,9 +121,9 @@ TEST_F(KernelTimingTest, CyclesScaleWithLines) {
 
 TEST_F(KernelTimingTest, CyclesScaleWithLineLength) {
   const ChunkCost& short_line = model_.chunk_cost(
-      sweep::KernelKind::kSimd, Precision::kDouble, 4, 10, 6, false, true);
+      KernelKind::kSimd, Precision::kDouble, 4, 10, 6, false, true);
   const ChunkCost& long_line = model_.chunk_cost(
-      sweep::KernelKind::kSimd, Precision::kDouble, 4, 100, 6, false, true);
+      KernelKind::kSimd, Precision::kDouble, 4, 100, 6, false, true);
   EXPECT_NEAR(long_line.cycles / short_line.cycles, 10.0, 3.0);
 }
 

@@ -26,7 +26,7 @@ TEST(Config, StageMappingIsCumulative) {
   using OS = OptimizationStage;
   const auto initial = CellSweepConfig::from_stage(OS::kSpeInitial);
   EXPECT_TRUE(initial.use_spes);
-  EXPECT_EQ(initial.kernel, sweep::KernelKind::kScalar);
+  EXPECT_EQ(initial.kernel, KernelKind::kScalar);
   EXPECT_FALSE(initial.aligned_rows);
   EXPECT_FALSE(initial.gotos_eliminated);
   EXPECT_EQ(initial.buffers, 1);
@@ -34,7 +34,7 @@ TEST(Config, StageMappingIsCumulative) {
   EXPECT_EQ(initial.sync, cell::SyncProtocol::kMailbox);
 
   const auto shipped = CellSweepConfig::from_stage(OS::kSpeLsPoke);
-  EXPECT_EQ(shipped.kernel, sweep::KernelKind::kSimd);
+  EXPECT_EQ(shipped.kernel, KernelKind::kSimd);
   EXPECT_TRUE(shipped.aligned_rows);
   EXPECT_EQ(shipped.buffers, 2);
   EXPECT_TRUE(shipped.dma_lists);
@@ -79,6 +79,42 @@ TEST(Orchestrator, FunctionalAndTraceDrivenTimingIdentical) {
   ASSERT_TRUE(func.solve.has_value());
   EXPECT_EQ(func.solve->iterations, 2);
   EXPECT_GT(func.absorption, 0.0);
+}
+
+TEST(Orchestrator, KernelKindChangesTimingNotPhysics) {
+  // kSpeBuffered and kSpeSimd differ only in the kernel the timing
+  // model prices. The physics always runs the scalar line kernel, so
+  // the solves must be bit-identical while the simulated time moves.
+  const sweep::Problem p = sweep::Problem::shield(10);
+  const auto run = [&](OptimizationStage stage) {
+    CellSweepConfig cfg = CellSweepConfig::from_stage(stage);
+    cfg.sweep.mk = 5;
+    cfg.sweep.max_iterations = 3;
+    cfg.sweep.fixup_from_iteration = 1;
+    CellSweep3D runner(p, cfg);
+    return runner.run(RunMode::kFunctional);
+  };
+  const RunReport scalar = run(OptimizationStage::kSpeBuffered);
+  const RunReport simd = run(OptimizationStage::kSpeSimd);
+  ASSERT_TRUE(scalar.solve.has_value());
+  ASSERT_TRUE(simd.solve.has_value());
+  ASSERT_GT(scalar.solve->totals.fixup_cells, 0u);
+  EXPECT_EQ(scalar.solve->iterations, simd.solve->iterations);
+  EXPECT_EQ(scalar.solve->converged, simd.solve->converged);
+  EXPECT_EQ(scalar.solve->final_change, simd.solve->final_change);
+  EXPECT_EQ(scalar.solve->totals.lines, simd.solve->totals.lines);
+  EXPECT_EQ(scalar.solve->totals.chunks, simd.solve->totals.chunks);
+  EXPECT_EQ(scalar.solve->totals.cells, simd.solve->totals.cells);
+  EXPECT_EQ(scalar.solve->totals.fixup_cells,
+            simd.solve->totals.fixup_cells);
+  EXPECT_EQ(scalar.absorption, simd.absorption);
+  EXPECT_EQ(scalar.leakage.west, simd.leakage.west);
+  EXPECT_EQ(scalar.leakage.east, simd.leakage.east);
+  EXPECT_EQ(scalar.leakage.north, simd.leakage.north);
+  EXPECT_EQ(scalar.leakage.south, simd.leakage.south);
+  EXPECT_EQ(scalar.leakage.bottom, simd.leakage.bottom);
+  EXPECT_EQ(scalar.leakage.top, simd.leakage.top);
+  EXPECT_NE(scalar.seconds, simd.seconds);
 }
 
 TEST(Orchestrator, TimingIsDeterministic) {

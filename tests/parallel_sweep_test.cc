@@ -2,9 +2,9 @@
 // serial one: every I-line of a diagonal writes disjoint flux cells and
 // disjoint face entries, and the per-worker kernel counters fold in a
 // fixed order, so no floating-point reassociation (or any other
-// schedule dependence) is possible. These tests pin that property for
-// both kernels, with fixups genuinely firing, plus the invariance of
-// the observer stream (and hence of simulated Cell timing).
+// schedule dependence) is possible. These tests pin that property with
+// fixups genuinely firing, plus the invariance of the observer stream
+// (and hence of simulated Cell timing).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -71,9 +71,8 @@ void expect_bitwise_equal(const SolveOutput<Real>& serial,
   EXPECT_EQ(mismatches, 0u);
 }
 
-SweepConfig fixup_cfg(KernelKind kernel) {
+SweepConfig fixup_cfg() {
   SweepConfig cfg;
-  cfg.kernel = kernel;
   cfg.mk = 5;
   cfg.mmi = 3;
   cfg.max_iterations = 4;
@@ -81,32 +80,22 @@ SweepConfig fixup_cfg(KernelKind kernel) {
   return cfg;
 }
 
-TEST(ParallelSweep, SimdKernelBitwiseIdenticalWithFixups) {
+TEST(ParallelSweep, BitwiseIdenticalWithFixups) {
   // The shield problem's thick absorber makes the fixup path really
   // run (asserted below), so the parallel path covers it too.
   const Problem p = Problem::shield(10);
-  const auto serial = run_solve<double>(p, fixup_cfg(KernelKind::kSimd), 1);
+  const auto serial = run_solve<double>(p, fixup_cfg(), 1);
   ASSERT_GT(serial.result.totals.fixup_cells, 0u);
   for (int threads : {2, 4, 7}) {
-    const auto parallel =
-        run_solve<double>(p, fixup_cfg(KernelKind::kSimd), threads);
+    const auto parallel = run_solve<double>(p, fixup_cfg(), threads);
     expect_bitwise_equal(serial, parallel);
   }
 }
 
-TEST(ParallelSweep, ScalarKernelBitwiseIdenticalWithFixups) {
-  const Problem p = Problem::shield(10);
-  const auto serial = run_solve<double>(p, fixup_cfg(KernelKind::kScalar), 1);
-  ASSERT_GT(serial.result.totals.fixup_cells, 0u);
-  const auto parallel =
-      run_solve<double>(p, fixup_cfg(KernelKind::kScalar), 4);
-  expect_bitwise_equal(serial, parallel);
-}
-
 TEST(ParallelSweep, SinglePrecisionBitwiseIdentical) {
   const Problem p = Problem::benchmark_cube(10);
-  const auto serial = run_solve<float>(p, fixup_cfg(KernelKind::kSimd), 1);
-  const auto parallel = run_solve<float>(p, fixup_cfg(KernelKind::kSimd), 4);
+  const auto serial = run_solve<float>(p, fixup_cfg(), 1);
+  const auto parallel = run_solve<float>(p, fixup_cfg(), 4);
   expect_bitwise_equal(serial, parallel);
 }
 
@@ -115,7 +104,7 @@ TEST(ParallelSweep, ReflectiveBoundariesBitwiseIdentical) {
   // executor only spans one diagonal, so the serial face bookkeeping
   // around it must be untouched.
   const Problem p = Problem::infinite_medium(8);
-  SweepConfig cfg = fixup_cfg(KernelKind::kSimd);
+  SweepConfig cfg = fixup_cfg();
   cfg.mk = 4;
   const auto serial = run_solve<double>(p, cfg, 1);
   const auto parallel = run_solve<double>(p, cfg, 4);
@@ -124,11 +113,11 @@ TEST(ParallelSweep, ReflectiveBoundariesBitwiseIdentical) {
 
 TEST(ParallelSweep, ThreadCountChangeMidStateIsSafe) {
   // The same SweepState may sweep with different thread counts; the
-  // pool and per-worker scratch are rebuilt on the fly.
+  // pool and per-worker counters are rebuilt on the fly.
   const Problem p = Problem::benchmark_cube(8);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
-  SweepConfig cfg = fixup_cfg(KernelKind::kSimd);
+  SweepConfig cfg = fixup_cfg();
   cfg.mk = 4;
   state.build_source();
   const SweepRunStats serial = state.sweep(cfg, true);

@@ -11,17 +11,16 @@
 #include <vector>
 
 #include "core/workload.h"
-#include "sweep/kernel_simd.h"
+#include "sweep/kernel.h"
 #include "sweep/plan.h"
 
 namespace cellsweep::sweep {
 namespace {
 
-SweepConfig make_cfg(int mk, int mmi, KernelKind kernel = KernelKind::kSimd) {
+SweepConfig make_cfg(int mk, int mmi) {
   SweepConfig cfg;
   cfg.mk = mk;
   cfg.mmi = mmi;
-  cfg.kernel = kernel;
   return cfg;
 }
 
@@ -91,11 +90,10 @@ TEST(ChunkPlan, StaticHelpersAgreeWithBuiltPlan) {
 }
 
 TEST(ChunkPlan, ExecutionFlagsPropagate) {
-  SweepConfig cfg = make_cfg(4, 2, KernelKind::kScalar);
+  const SweepConfig cfg = make_cfg(4, 2);
   const ChunkPlan plan(cfg, 9, 33, 3, /*fixup=*/true);
   EXPECT_EQ(plan.it(), 33);
   EXPECT_TRUE(plan.fixup());
-  EXPECT_EQ(plan.kernel(), KernelKind::kScalar);
   EXPECT_EQ(plan.diagonal(), 3);
 }
 
@@ -106,20 +104,17 @@ TEST(ChunkPlan, DiagonalWorkRoundTrips) {
     const int nlines = ChunkPlan::lines_on_diagonal(cfg, jt, d);
     if (nlines == 0) continue;
     const DiagonalWork w{/*octant=*/2, /*ablock=*/1, /*kblock=*/0, d,
-                         nlines, /*it=*/25, /*fixup=*/true,
-                         KernelKind::kSimd};
+                         nlines, /*it=*/25, /*fixup=*/true};
     const ChunkPlan plan(cfg, jt, w);
     EXPECT_EQ(plan.nlines(), w.nlines);
     EXPECT_EQ(plan.it(), w.it);
     EXPECT_TRUE(plan.fixup());
-    EXPECT_EQ(plan.kernel(), w.kernel);
   }
 }
 
 TEST(ChunkPlan, RejectsDriftedDiagonalWork) {
   const SweepConfig cfg = make_cfg(4, 3);
-  DiagonalWork w{0, 0, 0, /*diagonal=*/2, /*nlines=*/99, 25, false,
-                 KernelKind::kSimd};
+  DiagonalWork w{0, 0, 0, /*diagonal=*/2, /*nlines=*/99, 25, false};
   EXPECT_THROW(ChunkPlan(cfg, 9, w), std::logic_error);
 }
 

@@ -1,6 +1,6 @@
 // Tests for the full sweep driver: loop-structure correctness,
-// blocking invariance (MK/MMI must not change the answer), kernel
-// equivalence at solver level, particle balance, convergence, symmetry.
+// blocking invariance (MK/MMI must not change the answer), particle
+// balance, convergence, symmetry.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -12,12 +12,10 @@
 namespace cellsweep::sweep {
 namespace {
 
-SweepConfig config(int mk, int mmi, KernelKind kernel, int iters = 4,
-                   int fixup_from = 99) {
+SweepConfig config(int mk, int mmi, int iters = 4, int fixup_from = 99) {
   SweepConfig cfg;
   cfg.mk = mk;
   cfg.mmi = mmi;
-  cfg.kernel = kernel;
   cfg.max_iterations = iters;
   cfg.fixup_from_iteration = fixup_from;
   return cfg;
@@ -40,7 +38,7 @@ TEST(Sweeper, FluxIsPositiveWithPositiveSource) {
   const Problem p = Problem::benchmark_cube(8);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
-  solve_source_iteration(state, config(4, 3, KernelKind::kSimd));
+  solve_source_iteration(state, config(4, 3));
   const auto& g = p.grid();
   for (int k = 0; k < g.kt; ++k)
     for (int j = 0; j < g.jt; ++j)
@@ -57,7 +55,7 @@ TEST(Sweeper, CentralSymmetryOfTheCube) {
   const Problem p = Problem::benchmark_cube(6);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, /*nm_cap=*/0);
-  solve_source_iteration(state, config(3, 3, KernelKind::kSimd));
+  solve_source_iteration(state, config(3, 3));
   const auto& g = p.grid();
   const auto& f = state.flux();
   for (int k = 0; k < g.kt; ++k)
@@ -85,10 +83,10 @@ TEST_P(BlockingInvariance, FluxBitIdenticalAcrossBlocking) {
   SnQuadrature quad(6);
 
   SweepState<double> ref(p, quad, 2, kBenchmarkMoments);
-  solve_source_iteration(ref, config(12, 6, KernelKind::kSimd, 3));
+  solve_source_iteration(ref, config(12, 6, 3));
 
   SweepState<double> alt(p, quad, 2, kBenchmarkMoments);
-  solve_source_iteration(alt, config(mk, mmi, KernelKind::kSimd, 3));
+  solve_source_iteration(alt, config(mk, mmi, 3));
 
   EXPECT_EQ(MomentField<double>::max_abs_diff_moment0(ref.flux(), alt.flux()),
             0.0);
@@ -101,23 +99,12 @@ INSTANTIATE_TEST_SUITE_P(
                       BlockingParam{6, 1}, BlockingParam{12, 2},
                       BlockingParam{12, 3}));
 
-TEST(Sweeper, ScalarAndSimdSolversBitIdentical) {
-  const Problem p = Problem::benchmark_cube(10);
-  SnQuadrature quad(6);
-  SweepState<double> a(p, quad, 2, kBenchmarkMoments);
-  SweepState<double> b(p, quad, 2, kBenchmarkMoments);
-  solve_source_iteration(a, config(5, 3, KernelKind::kScalar, 4, 2));
-  solve_source_iteration(b, config(5, 3, KernelKind::kSimd, 4, 2));
-  EXPECT_EQ(MomentField<double>::max_abs_diff_moment0(a.flux(), b.flux()),
-            0.0);
-}
-
 TEST(Sweeper, ParticleBalanceAtConvergence) {
   // source = absorption + leakage, to the convergence tolerance.
   const Problem p = Problem::benchmark_cube(8);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
-  SweepConfig cfg = config(4, 3, KernelKind::kSimd, 200);
+  SweepConfig cfg = config(4, 3, 200);
   cfg.epsilon = 1e-11;
   const SolveResult r = solve_source_iteration(state, cfg);
   ASSERT_TRUE(r.converged);
@@ -130,7 +117,7 @@ TEST(Sweeper, LeakageSymmetricOnTheCube) {
   const Problem p = Problem::benchmark_cube(8);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, /*nm_cap=*/0);
-  solve_source_iteration(state, config(4, 3, KernelKind::kSimd));
+  solve_source_iteration(state, config(4, 3));
   const LeakageTally& L = state.leakage();
   EXPECT_NEAR(L.west, L.east, 1e-10);
   EXPECT_NEAR(L.north, L.south, 1e-10);
@@ -145,7 +132,7 @@ TEST(Sweeper, TruncatedMomentsKeepReflectionSymmetry) {
   const Problem p = Problem::benchmark_cube(6);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
-  solve_source_iteration(state, config(3, 3, KernelKind::kSimd));
+  solve_source_iteration(state, config(3, 3));
   const auto& g = p.grid();
   const auto& f = state.flux();
   for (int k = 0; k < g.kt; ++k)
@@ -165,7 +152,7 @@ TEST(Sweeper, SourceIterationMonotoneGrowth) {
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
   double prev_sum = 0.0;
-  SweepConfig cfg = config(3, 3, KernelKind::kSimd, 1);
+  SweepConfig cfg = config(3, 3, 1);
   for (int iter = 0; iter < 6; ++iter) {
     state.build_source();
     state.sweep(cfg, false);
@@ -179,7 +166,7 @@ TEST(Sweeper, ConvergenceDetected) {
   const Problem p = Problem::benchmark_cube(6);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
-  SweepConfig cfg = config(3, 3, KernelKind::kSimd, 500);
+  SweepConfig cfg = config(3, 3, 500);
   cfg.epsilon = 1e-10;
   const SolveResult r = solve_source_iteration(state, cfg);
   EXPECT_TRUE(r.converged);
@@ -194,7 +181,7 @@ TEST(Sweeper, FixupsEngageOnShieldProblem) {
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
   const SolveResult r =
-      solve_source_iteration(state, config(4, 3, KernelKind::kSimd, 4, 0));
+      solve_source_iteration(state, config(4, 3, 4, 0));
   EXPECT_GT(r.totals.fixup_cells, 0u);
   // Fixups keep the scalar flux nonnegative everywhere.
   const auto& g = p.grid();
@@ -209,7 +196,7 @@ TEST(Sweeper, ShieldAttenuatesFlux) {
   const Problem p = Problem::shield(16);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
-  solve_source_iteration(state, config(4, 3, KernelKind::kSimd, 8, 0));
+  solve_source_iteration(state, config(4, 3, 8, 0));
   const int n = p.grid().it;
   const double before = state.flux().at(0, 1, 1, n / 4);
   const double after = state.flux().at(0, 1, 1, 3 * n / 4);
@@ -220,7 +207,7 @@ TEST(Sweeper, DiagonalObserverSeesAllLines) {
   const Problem p = Problem::benchmark_cube(8);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
-  SweepConfig cfg = config(4, 3, KernelKind::kSimd, 1);
+  SweepConfig cfg = config(4, 3, 1);
   state.build_source();
   std::uint64_t lines = 0, diagonals = 0;
   int max_nlines = 0;
@@ -245,7 +232,7 @@ TEST(Sweeper, StatsCountCells) {
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
   state.build_source();
   const SweepRunStats stats =
-      state.sweep(config(3, 3, KernelKind::kSimd, 1), false);
+      state.sweep(config(3, 3, 1), false);
   EXPECT_EQ(stats.cells, 8u * 6u * 6u * 6u * 6u);  // octants*angles*cells
 }
 
@@ -254,8 +241,8 @@ TEST(Sweeper, SinglePrecisionTracksDouble) {
   SnQuadrature quad(6);
   SweepState<double> d(p, quad, 2, kBenchmarkMoments);
   SweepState<float> f(p, quad, 2, kBenchmarkMoments);
-  solve_source_iteration(d, config(4, 3, KernelKind::kSimd, 4));
-  solve_source_iteration(f, config(4, 3, KernelKind::kSimd, 4));
+  solve_source_iteration(d, config(4, 3, 4));
+  solve_source_iteration(f, config(4, 3, 4));
   const auto& g = p.grid();
   for (int k = 0; k < g.kt; k += 2)
     for (int j = 0; j < g.jt; j += 3)
@@ -272,15 +259,10 @@ TEST(Sweeper, P3ScatteringSolves) {
   Material m{"aniso", 1.0, {0.5, 0.25, 0.1, 0.04}, 1.0};
   const Problem p(g, {m}, std::vector<std::uint8_t>(g.cells(), 0));
   SnQuadrature quad(6);
-  SweepState<double> scalar_state(p, quad, 3, 0);
-  SweepState<double> simd_state(p, quad, 3, 0);
-  EXPECT_EQ(scalar_state.nm(), 16);
-  solve_source_iteration(scalar_state, config(3, 3, KernelKind::kScalar, 3));
-  solve_source_iteration(simd_state, config(3, 3, KernelKind::kSimd, 3));
-  EXPECT_EQ(MomentField<double>::max_abs_diff_moment0(scalar_state.flux(),
-                                                      simd_state.flux()),
-            0.0);
-  EXPECT_GT(scalar_state.flux().moment_sum(0), 0.0);
+  SweepState<double> state(p, quad, 3, 0);
+  EXPECT_EQ(state.nm(), 16);
+  solve_source_iteration(state, config(3, 3, 3));
+  EXPECT_GT(state.flux().moment_sum(0), 0.0);
 }
 
 TEST(Sweeper, FullMomentSetAlsoWorks) {
@@ -289,7 +271,7 @@ TEST(Sweeper, FullMomentSetAlsoWorks) {
   SweepState<double> state(p, quad, 2, /*nm_cap=*/0);
   EXPECT_EQ(state.nm(), 9);
   const SolveResult r =
-      solve_source_iteration(state, config(3, 3, KernelKind::kSimd, 3));
+      solve_source_iteration(state, config(3, 3, 3));
   EXPECT_EQ(r.iterations, 3);
   EXPECT_GT(state.flux().moment_sum(0), 0.0);
 }
