@@ -1,10 +1,14 @@
 // google-benchmark microbenchmarks of the host-side components: the
 // functional Sn kernels (scalar vs emulated-SIMD), the SPU pipeline
-// scheduler and the discrete resource models. These measure *this
-// library's* throughput on the host, complementing the simulated-time
-// benches that regenerate the paper's figures.
+// scheduler, the MFC DMA path and the discrete resource models. These
+// measure *this library's* throughput on the host, complementing the
+// simulated-time benches that regenerate the paper's figures.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
+#include "cellsim/memory.h"
+#include "cellsim/mfc.h"
 #include "cellsim/spu_pipeline.h"
 #include "core/kernel_timing.h"
 #include "core/orchestrator.h"
@@ -136,6 +140,34 @@ void BM_TraceRecording(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceRecording);
+
+// One simulated DMA command through Mfc::submit (validation, queue,
+// EIB and MIC pricing), reported as commands/s. Arg 0 is a 32-row
+// DMA-list get, arg 1 a single per-row put: the two command shapes of
+// the Fig. 5 stages.
+void BM_MfcSubmit(benchmark::State& state) {
+  const cell::CellSpec spec;
+  cell::Eib eib(spec);
+  cell::Mic mic(spec);
+  cell::Mfc mfc(spec, &eib, &mic, "mfc0");
+  cell::DmaRequest req;
+  req.element_bytes = 400;  // one 50-cell row of doubles
+  if (state.range(0) == 0) {
+    req.total_bytes = 32 * req.element_bytes;
+    state.SetLabel("list get");
+  } else {
+    req.dir = cell::DmaDir::kPut;
+    req.total_bytes = req.element_bytes;
+    req.as_list = false;
+    req.alignment = 16;
+    state.SetLabel("row put");
+  }
+  sim::Tick now = 0;
+  for (auto _ : state) now = mfc.submit(now, req).issue_done;
+  benchmark::DoNotOptimize(now);
+  state.SetItemsProcessed(static_cast<std::int64_t>(mfc.commands()));
+}
+BENCHMARK(BM_MfcSubmit)->Arg(0)->Arg(1);
 
 void BM_TimedRun50Cubed(benchmark::State& state) {
   const sweep::Problem p = sweep::Problem::benchmark_cube(50);

@@ -67,6 +67,7 @@ const char* diff_status_name(DiffStatus s) {
     case DiffStatus::kOk: return "ok";
     case DiffStatus::kImproved: return "improved";
     case DiffStatus::kRegressed: return "REGRESSED";
+    case DiffStatus::kChanged: return "CHANGED";
     case DiffStatus::kSkipped: return "skipped";
   }
   return "?";
@@ -74,7 +75,9 @@ const char* diff_status_name(DiffStatus s) {
 
 bool PerfDiffResult::regressed() const {
   for (const DiffRow& r : rows)
-    if (r.status == DiffStatus::kRegressed) return true;
+    if (r.status == DiffStatus::kRegressed ||
+        r.status == DiffStatus::kChanged)
+      return true;
   return false;
 }
 
@@ -150,7 +153,7 @@ PerfDiffResult diff_bench(const util::JsonValue& current,
       DiffRow row;
       row.run = run_name;
       row.metric = metric;
-      row.threshold = threshold;
+      row.threshold = opt.exact ? kExactTolerance : threshold;
       const JsonValue* b = base_metrics->find(metric);
       const JsonValue* c = cur_metrics->find(metric);
       if (b == nullptr || c == nullptr || b->is_null() || c->is_null()) {
@@ -163,9 +166,14 @@ PerfDiffResult diff_bench(const util::JsonValue& current,
         row.baseline = b->number_v;
         row.current = c->number_v;
         row.ratio = c->number_v / b->number_v;
-        row.status = row.ratio > 1.0 + threshold ? DiffStatus::kRegressed
-                     : row.ratio < 1.0           ? DiffStatus::kImproved
-                                                 : DiffStatus::kOk;
+        if (opt.exact)
+          row.status = std::abs(row.ratio - 1.0) > kExactTolerance
+                           ? DiffStatus::kChanged
+                           : DiffStatus::kOk;
+        else
+          row.status = row.ratio > 1.0 + threshold ? DiffStatus::kRegressed
+                       : row.ratio < 1.0           ? DiffStatus::kImproved
+                                                   : DiffStatus::kOk;
       }
       res.rows.push_back(std::move(row));
     }

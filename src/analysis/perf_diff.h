@@ -12,6 +12,9 @@
 //   * compared metrics are lower-is-better (seconds, grind_seconds by
 //     default); a run regresses when current > baseline * (1 +
 //     threshold). Improvements never fail;
+//   * the exact mode is for pure-function outputs (simulated time): a
+//     metric passes only within kExactTolerance of its baseline, in
+//     either direction, so an unexplained improvement fails too;
 //   * JSON null metrics (the NaN contract of the emitters) and runs
 //     missing a metric are skipped, not failed;
 //   * one pass reports everything: gate failures do not stop the
@@ -32,12 +35,19 @@ namespace cellsweep::analysis {
 /// The BENCH JSON layout version this differ understands.
 inline constexpr const char* kBenchSchema = "cellsweep-bench-v2";
 
+/// Relative deviation the exact mode allows: room for the last bits of
+/// a printed double, none for a model change.
+inline constexpr double kExactTolerance = 1e-12;
+
 struct PerfDiffOptions {
   /// Allowed relative growth of a lower-is-better metric.
   double default_threshold = 0.25;
   /// Extra or overriding per-metric thresholds; metrics named here are
   /// compared in addition to the defaults.
   std::vector<std::pair<std::string, double>> metric_thresholds;
+  /// Two-sided exact gate: every compared metric must match its
+  /// baseline within kExactTolerance; the thresholds are not used.
+  bool exact = false;
   /// Require structural equality of the "fingerprint" objects.
   bool check_fingerprint = true;
 };
@@ -46,6 +56,7 @@ enum class DiffStatus : unsigned char {
   kOk,        ///< within threshold
   kImproved,  ///< current < baseline
   kRegressed, ///< current > baseline * (1 + threshold)
+  kChanged,   ///< exact mode: off the baseline, in either direction
   kSkipped,   ///< metric null or absent on either side
 };
 
@@ -72,6 +83,8 @@ struct PerfDiffResult {
   /// territory).
   std::vector<std::string> errors;
 
+  /// True when a row failed its gate (regressed, or changed under the
+  /// exact mode).
   bool regressed() const;
   bool ok() const { return errors.empty() && !regressed(); }
 };

@@ -1,7 +1,7 @@
 #include "cellsim/mfc.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 #include "sim/counters.h"
 #include "sim/fault.h"
@@ -20,57 +20,101 @@ Mfc::Mfc(const CellSpec& spec, Eib* eib, Mic* mic, std::string name)
     throw DmaError("Mfc: EIB/MIC must be provided");
 }
 
-void Mfc::validate(const DmaRequest& req) const {
-  std::ostringstream why;
-  auto append = [&](const std::string& what) {
-    if (!why.str().empty()) why << "; ";
-    why << what;
-  };
-  // The CBEA size rules apply to every transfer the MFC performs: full
-  // elements and the trailing partial element alike.
-  auto check_size = [&](std::size_t bytes, const char* what) {
-    if (bytes < 16) {
-      // Sub-quadword transfers must be naturally aligned powers of two.
-      const bool pow2 = (bytes & (bytes - 1)) == 0;
-      if (!pow2 || bytes > 8)
-        append(std::string(what) + " below 16 bytes must be 1, 2, 4 or 8 bytes");
-      else if (req.alignment % bytes != 0)
-        append(std::string("sub-quadword ") + what +
-               " must be naturally aligned");
-    } else if (bytes % 16 != 0) {
-      append(std::string(what) + " of 16 bytes or more must be multiples of 16");
-    } else if (bytes > spec_.dma_max_bytes) {
-      append("single transfer exceeds 16 KB");
-    }
-  };
+namespace {
 
-  const std::size_t bytes = req.element_bytes;
-  if (req.total_bytes == 0 || bytes == 0) {
-    append("zero-length transfer");
+// One bit per CBEA rule a command can break. The four size rules apply
+// to every transfer the MFC performs, so they are recorded twice: as
+// is for the full elements, and shifted by kTailShift for the trailing
+// partial element.
+constexpr unsigned kSubQuadwordSize = 1u << 0;
+constexpr unsigned kSubQuadwordAlign = 1u << 1;
+constexpr unsigned kNotQuadwordMultiple = 1u << 2;
+constexpr unsigned kOversized = 1u << 3;
+constexpr unsigned kTailShift = 4;
+constexpr unsigned kZeroLength = 1u << 8;
+constexpr unsigned kListTooLong = 1u << 9;
+constexpr unsigned kAlignmentNotPow2 = 1u << 10;
+constexpr unsigned kBanksOutOfRange = 1u << 11;
+constexpr unsigned kTagOutOfRange = 1u << 12;
+
+/// The size rule a single transfer of @p bytes (> 0) breaks, or 0.
+unsigned size_violation(std::size_t bytes, std::size_t alignment,
+                        std::size_t max_bytes) {
+  if (bytes < 16) {
+    // Sub-quadword transfers must be naturally aligned powers of two.
+    if ((bytes & (bytes - 1)) != 0 || bytes > 8) return kSubQuadwordSize;
+    return alignment % bytes != 0 ? kSubQuadwordAlign : 0;
+  }
+  if (bytes % 16 != 0) return kNotQuadwordMultiple;
+  return bytes > max_bytes ? kOversized : 0;
+}
+
+std::string byte_size(std::size_t bytes) {
+  return bytes % 1024 == 0 ? std::to_string(bytes / 1024) + " KB"
+                           : std::to_string(bytes) + " bytes";
+}
+
+/// The DmaError text for the non-empty violation set @p v, one clause
+/// per broken rule in rule order.
+std::string describe(unsigned v, const DmaRequest& req, const CellSpec& spec) {
+  std::string why;
+  auto append = [&](const std::string& what) {
+    if (!why.empty()) why += "; ";
+    why += what;
+  };
+  auto size_clauses = [&](unsigned bits, const std::string& what) {
+    if (bits & kSubQuadwordSize)
+      append(what + " below 16 bytes must be 1, 2, 4 or 8 bytes");
+    if (bits & kSubQuadwordAlign)
+      append("sub-quadword " + what + " must be naturally aligned");
+    if (bits & kNotQuadwordMultiple)
+      append(what + " of 16 bytes or more must be multiples of 16");
+    if (bits & kOversized)
+      append("single transfer exceeds " + byte_size(spec.dma_max_bytes));
+  };
+  if (v & kZeroLength) append("zero-length transfer");
+  size_clauses(v, "transfers");
+  size_clauses(v >> kTailShift, "trailing partial transfers");
+  if (v & kListTooLong)
+    append("DMA list must have 1.." +
+           std::to_string(spec.dma_list_max_elements) + " elements");
+  if (v & kAlignmentNotPow2) append("alignment must be a power of two");
+  if (v & kBanksOutOfRange)
+    append("banks_touched must be in 1.." + std::to_string(spec.memory_banks) +
+           ", got " + std::to_string(req.banks_touched));
+  if (v & kTagOutOfRange)
+    append("tag group must be 0.." + std::to_string(kMfcTagGroups - 1));
+  return "illegal DMA command: " + why;
+}
+
+}  // namespace
+
+void Mfc::validate(const DmaRequest& req) const {
+  // One pass records every broken rule; the text is built only when a
+  // rule is broken, so a legal command costs a few integer tests.
+  unsigned v = 0;
+  if (req.total_bytes == 0 || req.element_bytes == 0) {
+    v |= kZeroLength;
   } else {
-    check_size(bytes, "transfers");
-    // A request whose payload is not a whole number of elements ends in
-    // a partial element of total_bytes % element_bytes -- itself a real
-    // MFC transfer, so it obeys the same size rules.
-    const std::size_t rem = req.total_bytes % bytes;
-    if (rem != 0 && req.total_bytes > bytes)
-      check_size(rem, "trailing partial transfers");
+    // The MFC moves min(element, total)-byte elements and, when the
+    // payload is not a whole number of them, a trailing partial element
+    // of the remainder -- itself a real transfer under the same rules.
+    const std::size_t elem = std::min(req.element_bytes, req.total_bytes);
+    v |= size_violation(elem, req.alignment, spec_.dma_max_bytes);
+    const std::size_t rem = req.total_bytes % elem;
+    if (rem != 0)
+      v |= size_violation(rem, req.alignment, spec_.dma_max_bytes)
+           << kTailShift;
   }
   if (req.as_list &&
       req.elements() > static_cast<std::size_t>(spec_.dma_list_max_elements))
-    append("DMA list must have 1..2048 elements");
+    v |= kListTooLong;
   if (req.alignment == 0 || (req.alignment & (req.alignment - 1)) != 0)
-    append("alignment must be a power of two");
-  if (req.banks_touched < 1 || req.banks_touched > spec_.memory_banks) {
-    std::ostringstream bank;
-    bank << "banks_touched must be in 1.." << spec_.memory_banks << ", got "
-         << req.banks_touched;
-    append(bank.str());
-  }
-  if (req.tag >= kMfcTagGroups) append("tag group must be 0..31");
-
-  const std::string msg = why.str();
-  if (!msg.empty()) throw DmaError("illegal DMA command: " + msg);
+    v |= kAlignmentNotPow2;
+  if (req.banks_touched < 1 || req.banks_touched > spec_.memory_banks)
+    v |= kBanksOutOfRange;
+  if (req.tag >= kMfcTagGroups) v |= kTagOutOfRange;
+  if (v != 0) throw DmaError(describe(v, req, spec_));
 }
 
 double Mfc::transfer_efficiency(std::size_t bytes,

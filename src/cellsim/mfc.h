@@ -104,8 +104,10 @@ class Mfc {
  public:
   Mfc(const CellSpec& spec, Eib* eib, Mic* mic, std::string name);
 
-  /// Validates @p req against the CBEA rules; throws DmaError with a
-  /// description if illegal. Called by submit(); exposed for tests.
+  /// Validates @p req against the CBEA rules; throws DmaError naming
+  /// every broken rule if illegal. A legal command costs a few integer
+  /// tests and never allocates: the text is formatted only on failure.
+  /// Called by submit() and by the deck linter.
   void validate(const DmaRequest& req) const;
 
   /// Submits a command at @p now. Handles queue-full back-pressure:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <string>
 
 #include "cellsim/mfc.h"
 #include "cellsim/memory.h"
@@ -27,6 +28,16 @@ class MfcTest : public ::testing::Test {
   Mic mic_;
   Mfc mfc_;
 };
+
+/// The DmaError text validate() throws for @p r ("" when legal).
+std::string rejection(const Mfc& mfc, const DmaRequest& r) {
+  try {
+    mfc.validate(r);
+  } catch (const DmaError& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST_F(MfcTest, AcceptsLegalCommands) {
   EXPECT_NO_THROW(mfc_.validate(legal()));
@@ -154,6 +165,69 @@ TEST_F(MfcTest, ValidatesTrailingPartialElement) {
   EXPECT_NO_THROW(mfc_.validate(legal(512 + 8, 512)));
   EXPECT_NO_THROW(mfc_.validate(legal(512 + 16, 512)));
   EXPECT_NO_THROW(mfc_.validate(legal(512 + 240, 512)));
+}
+
+TEST_F(MfcTest, NamesEveryBrokenRuleInOrder) {
+  // One command breaking four rules reports all four, in rule order.
+  DmaRequest r = legal(4 * 12, 12);
+  r.as_list = true;
+  r.alignment = 100;
+  r.banks_touched = 17;
+  r.tag = 40;
+  EXPECT_EQ(rejection(mfc_, r),
+            "illegal DMA command: transfers below 16 bytes must be 1, 2, 4 "
+            "or 8 bytes; alignment must be a power of two; banks_touched "
+            "must be in 1..16, got 17; tag group must be 0..31");
+}
+
+TEST_F(MfcTest, ValidatesSubElementTotal) {
+  // A payload smaller than one element is a single transfer of
+  // total_bytes -- the size request_efficiency prices -- and that
+  // transfer must itself be legal. 12 bytes is not a CBEA size.
+  EXPECT_EQ(rejection(mfc_, legal(12, 16)),
+            "illegal DMA command: transfers below 16 bytes must be 1, 2, 4 "
+            "or 8 bytes");
+  EXPECT_EQ(rejection(mfc_, legal(8, 16)), "");
+  // element_bytes is an upper bound: a 512-byte payload is one 512-byte
+  // transfer, whatever the nominal element size.
+  EXPECT_EQ(rejection(mfc_, legal(512, 32 * 1024)), "");
+  DmaRequest r = legal(8, 16);
+  r.alignment = 4;
+  EXPECT_EQ(rejection(mfc_, r),
+            "illegal DMA command: sub-quadword transfers must be naturally "
+            "aligned");
+}
+
+TEST(MfcLimits, MessagesQuoteTheSpec) {
+  CellSpec spec;
+  spec.dma_max_bytes = 8 * 1024;
+  spec.dma_list_max_elements = 64;
+  spec.memory_banks = 8;
+  Eib eib(spec);
+  Mic mic(spec);
+  const Mfc mfc(spec, &eib, &mic, "mfc0");
+  DmaRequest r;
+  r.banks_touched = 8;
+  r.total_bytes = 16 * 1024;
+  r.element_bytes = 16 * 1024;
+  EXPECT_EQ(rejection(mfc, r),
+            "illegal DMA command: single transfer exceeds 8 KB");
+  r.total_bytes = 65 * 16;
+  r.element_bytes = 16;
+  EXPECT_EQ(rejection(mfc, r),
+            "illegal DMA command: DMA list must have 1..64 elements");
+  r.total_bytes = 64 * 16;
+  r.banks_touched = 9;
+  EXPECT_EQ(rejection(mfc, r),
+            "illegal DMA command: banks_touched must be in 1..8, got 9");
+  // A cap that is not a whole number of KB is quoted in bytes.
+  spec.dma_max_bytes = 1000;
+  const Mfc odd(spec, &eib, &mic, "mfc1");
+  r.banks_touched = 8;
+  r.total_bytes = 1024;
+  r.element_bytes = 1024;
+  EXPECT_EQ(rejection(odd, r),
+            "illegal DMA command: single transfer exceeds 1000 bytes");
 }
 
 TEST_F(MfcTest, TrailingPartialElementLowersEfficiency) {

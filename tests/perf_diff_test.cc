@@ -1,6 +1,6 @@
 // Tests for the perf-regression harness: the JSON reader it is built
-// on, and the diff contract (threshold semantics, schema / scenario /
-// fingerprint gates, null handling, missing-run detection).
+// on, and the diff contract (threshold and exact semantics, schema /
+// scenario / fingerprint gates, null handling, missing-run detection).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -132,6 +132,34 @@ TEST(PerfDiff, CustomThresholdOverridesDefault) {
   EXPECT_EQ(row_for(r, "seconds")->threshold, 0.10);
   // grind_seconds keeps the default.
   EXPECT_EQ(row_for(r, "grind_seconds")->threshold, 0.25);
+}
+
+TEST(PerfDiff, ExactModeFailsChangesInBothDirections) {
+  // Simulated time is a pure function of the model: under the exact
+  // gate a faster chip is as suspect as a slower one.
+  PerfDiffOptions exact;
+  exact.exact = true;
+  const PerfDiffResult faster =
+      diff(bench_doc("0.9"), bench_doc("1.0"), exact);
+  EXPECT_TRUE(faster.regressed());
+  EXPECT_FALSE(faster.ok());
+  EXPECT_EQ(row_for(faster, "seconds")->status, DiffStatus::kChanged);
+  EXPECT_EQ(row_for(faster, "seconds")->threshold, analysis::kExactTolerance);
+  EXPECT_EQ(row_for(faster, "grind_seconds")->status, DiffStatus::kOk);
+  // A growth far inside the default 25 % threshold still fails.
+  const PerfDiffResult slower =
+      diff(bench_doc("1.000001"), bench_doc("1.0"), exact);
+  EXPECT_EQ(row_for(slower, "seconds")->status, DiffStatus::kChanged);
+}
+
+TEST(PerfDiff, ExactModeAllowsOnlyLastBitNoise) {
+  PerfDiffOptions exact;
+  exact.exact = true;
+  EXPECT_TRUE(diff(bench_doc("1.0"), bench_doc("1.0"), exact).ok());
+  const PerfDiffResult r =
+      diff(bench_doc("1.000000000000001"), bench_doc("1.0"), exact);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kOk);
 }
 
 TEST(PerfDiff, SchemaMismatchIsHardError) {

@@ -4,10 +4,12 @@
 //   $ ./perf_diff out/BENCH_fig5.json bench/baselines/BENCH_fig5.json
 //   $ ./perf_diff cur.json base.json --threshold 0.1 \
 //         --metric traffic_bytes=0.05
+//   $ ./perf_diff cur.json base.json --exact
 //
-// Exit codes: 0 = within thresholds (improvements included), 1 = at
-// least one metric regressed, 2 = usage / schema / scenario /
-// fingerprint error (the files are not comparable).
+// Exit codes: 0 = within thresholds (improvements included; under
+// --exact, equal to the baseline), 1 = at least one metric regressed
+// (or, under --exact, changed in either direction), 2 = usage / schema
+// / scenario / fingerprint error (the files are not comparable).
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -30,6 +32,10 @@ constexpr const char* kUsage =
     "(default 0.25)\n"
     "           [--metric name=X]...   add/override one metric's "
     "threshold\n"
+    "           [--exact]              two-sided: every metric must "
+    "match the\n"
+    "                                  baseline within 1e-12 relative "
+    "(no thresholds)\n"
     "           [--no-fingerprint]     skip the experiment-fingerprint "
     "check\n";
 
@@ -59,6 +65,7 @@ bool parse_metric_arg(const std::string& arg,
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
   analysis::PerfDiffOptions opt;
+  bool thresholded = false;  // --threshold or --metric given
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -67,7 +74,10 @@ int main(int argc, char** argv) {
     }
     if (arg == "--no-fingerprint") {
       opt.check_fingerprint = false;
+    } else if (arg == "--exact") {
+      opt.exact = true;
     } else if (arg == "--threshold") {
+      thresholded = true;
       if (i + 1 >= argc) {
         std::cerr << "perf_diff: --threshold wants a value\n" << kUsage;
         return 2;
@@ -79,6 +89,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--metric") {
+      thresholded = true;
       if (i + 1 >= argc || !parse_metric_arg(argv[++i], opt)) {
         std::cerr << "perf_diff: --metric wants name=threshold\n" << kUsage;
         return 2;
@@ -92,6 +103,10 @@ int main(int argc, char** argv) {
   }
   if (paths.size() != 2) {
     std::cerr << kUsage;
+    return 2;
+  }
+  if (opt.exact && thresholded) {
+    std::cerr << "perf_diff: --exact takes no thresholds\n" << kUsage;
     return 2;
   }
 
@@ -138,10 +153,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (res.regressed()) {
-    std::cout << "perf_diff: REGRESSION against "
-              << paths[1] << " (threshold "
-              << util::cformat("%.0f", opt.default_threshold * 100)
-              << "%)\n";
+    if (opt.exact)
+      std::cout << "perf_diff: CHANGED against " << paths[1]
+                << " (exact, tolerance "
+                << util::cformat("%g", analysis::kExactTolerance) << ")\n";
+    else
+      std::cout << "perf_diff: REGRESSION against " << paths[1]
+                << " (threshold "
+                << util::cformat("%.0f", opt.default_threshold * 100)
+                << "%)\n";
     return 1;
   }
   std::cout << "perf_diff: ok\n";
