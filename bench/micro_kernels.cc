@@ -1,5 +1,7 @@
 // google-benchmark microbenchmarks of the host-side components: the
-// functional Sn kernels (scalar vs emulated-SIMD), the SPU pipeline
+// Sn kernels (the per-line reference kernel, the host chunk kernel that
+// runs every functional solve, and the emulated-SPU bundle kernel that
+// records the timing model's instruction traces), the SPU pipeline
 // scheduler, the MFC DMA path and the discrete resource models. These
 // measure *this library's* throughput on the host, complementing the
 // simulated-time benches that regenerate the paper's figures.
@@ -73,6 +75,22 @@ void BM_ScalarKernelLine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ScalarKernelLine)->Arg(50)->Arg(100);
+
+// One 4-line chunk through the host chunk kernel; items are cells, so
+// the rate compares directly with BM_ScalarKernelLine.
+void BM_ChunkKernel(benchmark::State& state) {
+  const int it = static_cast<int>(state.range(0));
+  BenchLines<double> data(it, sweep::kBenchmarkMoments);
+  sweep::BundleScratch<double> scratch(it);
+  for (auto _ : state) {
+    sweep::LineArgs<double> chunk[4] = {data.args(0), data.args(1),
+                                        data.args(2), data.args(3)};
+    sweep::sweep_chunk(chunk, 4, false, scratch, nullptr);
+    benchmark::DoNotOptimize(data.phi_i[0]);
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * it);
+}
+BENCHMARK(BM_ChunkKernel)->Arg(50)->Arg(100);
 
 void BM_SimdBundleKernel(benchmark::State& state) {
   const int it = static_cast<int>(state.range(0));

@@ -16,21 +16,19 @@
 // This kernel exists to produce the SPU instruction trace of a SIMD
 // chunk: core::record_simd_chunk_trace runs it under a TraceRecorder
 // and the timing model schedules the recorded dataflow. It computes no
-// physics of the functional solve, which always runs sweep_line_scalar.
-// Every lane performs the same arithmetic, in the same order, as the
-// scalar kernel (and cs_sweep/cs_spu build with -ffp-contract=off), so
-// its results are bit-identical to sweep_line_scalar in both
-// precisions -- enforced by tests/kernel_test.cc, which is what lets
-// the timing model price the SIMD kernel for physics the scalar kernel
-// computed.
+// physics of the functional solve; that runs sweep_chunk (kernel.h), the
+// same three phases on host SIMD vectors. Every lane performs the same
+// arithmetic, in the same order, as sweep_line_scalar (and cs_sweep/
+// cs_spu build with -ffp-contract=off), so all three kernels are
+// bit-identical in both precisions -- enforced by tests/kernel_test.cc,
+// which is what lets the timing model price this kernel for physics
+// the host chunk kernel computed.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "spu/intrinsics.h"
 #include "sweep/kernel.h"
-#include "util/aligned.h"
 
 namespace cellsweep::sweep {
 
@@ -53,18 +51,6 @@ struct SimdTraits<float> {
   using Mask = spu::vec_mask4;
   static constexpr int kLanes = 4;
   static constexpr int kChains = 1;  // 1 chain x 4 lanes = 4 lines
-};
-
-/// Reusable scratch for one bundle (the local-store Phi / q lines).
-template <typename Real>
-struct BundleScratch {
-  explicit BundleScratch(int max_it) {
-    const std::size_t n = util::padded_extent<Real>(max_it);
-    for (auto& line : q) line.assign(n, Real(0));
-    for (auto& line : phi) line.assign(n, Real(0));
-  }
-  std::array<util::AlignedVector<Real>, kBundleLines> q;
-  std::array<util::AlignedVector<Real>, kBundleLines> phi;
 };
 
 namespace detail_simd {

@@ -235,9 +235,8 @@ void SweepState<Real>::sweep_block(const SweepConfig& cfg, bool fixup, int iq,
 
     const auto run_chunk = [&](int c, int worker) {
       const ChunkDesc& ch = plan.chunks()[c];
-      KernelStats& ks = worker_stats_[worker];
-      for (int b = 0; b < ch.nlines; ++b)
-        sweep_line_scalar(diag_args_[ch.first_line + b], fixup, &ks);
+      sweep_chunk(&diag_args_[ch.first_line], ch.nlines, fixup,
+                  scratch_[worker], &worker_stats_[worker]);
     };
     const int nchunks = static_cast<int>(plan.chunks().size());
     if (active_pool_) {
@@ -378,6 +377,8 @@ SweepRunStats SweepState<Real>::sweep(const SweepConfig& cfg, bool fixup,
     active_pool_ = pool_.get();
   }
   worker_stats_.assign(threads, KernelStats{});
+  if (scratch_.size() != static_cast<std::size_t>(threads))
+    scratch_.assign(threads, BundleScratch<Real>(g.it));
 
   flux_.fill(Real(0));
   SweepRunStats stats;

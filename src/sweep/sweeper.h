@@ -7,12 +7,13 @@
 // JK-diagonals, and all I-lines on one diagonal are independent -- the
 // property the Cell port's thread-level parallelization relies on
 // (Section 4, level 2). Each diagonal's decomposition into chunks comes
-// from the shared ChunkPlan layer (sweep/plan.h); every I-line is solved
-// by the scalar kernel sweep_line_scalar (the SIMD bundle kernel computes
-// the same bits and is run only to record SPU instruction traces for the
-// timing model). With SweepConfig::threads > 1 the chunks of a diagonal
-// execute in parallel on a host thread pool (every I-line writes
-// disjoint flux cells and face entries, so the result is bitwise
+// from the shared ChunkPlan layer (sweep/plan.h); every chunk of up to
+// four I-lines is solved by the host chunk kernel sweep_chunk, which
+// packs the lines into SIMD lanes as the paper's four logical threads
+// and computes the same bits as the per-line reference kernel
+// sweep_line_scalar. With SweepConfig::threads > 1 the chunks of a
+// diagonal execute in parallel on a host thread pool (every I-line
+// writes disjoint flux cells and face entries, so the result is bitwise
 // identical to the serial run).
 // A DiagonalObserver hook exposes each diagonal's work list so the Cell
 // orchestrator (src/core) can replay the same stream through the
@@ -218,10 +219,12 @@ class SweepState {
   // Host execution resources, sized at sweep() entry: the shared
   // SweepConfig::pool when one is injected, else an owned pool sized by
   // SweepConfig::threads. Per-worker KernelStats keep the counters
-  // race-free (summed into SweepRunStats after the sweep).
+  // race-free (summed into SweepRunStats after the sweep); each worker
+  // owns the q/phi scratch lines of the chunk it is solving.
   std::unique_ptr<util::ThreadPool> pool_;  // null when threads == 1
   util::ThreadPool* active_pool_ = nullptr;  // the pool this sweep uses
   std::vector<KernelStats> worker_stats_;
+  std::vector<BundleScratch<Real>> scratch_;
   std::vector<LineArgs<Real>> diag_args_;  // one diagonal's line args
 };
 

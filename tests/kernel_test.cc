@@ -1,6 +1,7 @@
 // Tests for the Sn solve kernels: per-cell physics properties of the
-// diamond-difference solve, fixup behavior, and bit-equality between
-// the scalar kernel (Figure 8) and the SIMD bundle kernel (Figure 7).
+// diamond-difference solve, fixup behavior, and bit-equality of the
+// host chunk kernel and the SPU-intrinsic SIMD bundle kernel (both
+// Figure 7) with the scalar line kernel (Figure 8).
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -87,7 +88,7 @@ TEST(SolveCell, SinglePrecisionVariantWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// Line kernels: scalar vs SIMD bundle, parameterized over shapes
+// Line kernels: scalar vs chunk and SIMD bundle, parameterized over shapes
 // ---------------------------------------------------------------------------
 
 template <typename Real>
@@ -155,6 +156,64 @@ struct LineProblem {
   Real ci[kBundleLines], cj[kBundleLines], ck[kBundleLines];
 };
 
+/// Runs the same lines through sweep_line_scalar (one line at a time)
+/// and through @p kernel (all lines at once) on two identical problems,
+/// each first passed to @p edit if given, and requires every output bit
+/// and both KernelStats counts to match.
+template <typename Real, typename Kernel>
+void expect_bit_equal_to_scalar(int nlines, int it, int nm, bool thick,
+                                int dir, std::uint64_t seed, Kernel kernel,
+                                void (*edit)(LineProblem<Real>&) = nullptr) {
+  LineProblem<Real> scalar_prob(nlines, it, nm, thick, seed);
+  LineProblem<Real> prob(nlines, it, nm, thick, seed);
+  if (edit) {
+    edit(scalar_prob);
+    edit(prob);
+  }
+
+  KernelStats s1, s2;
+  for (int l = 0; l < nlines; ++l) {
+    LineArgs<Real> a = scalar_prob.args(l, dir);
+    sweep_line_scalar(a, thick, &s1);
+  }
+  std::vector<LineArgs<Real>> lines;
+  for (int l = 0; l < nlines; ++l) lines.push_back(prob.args(l, dir));
+  kernel(lines.data(), nlines, thick, &s2);
+
+  const std::size_t pad = util::padded_extent<Real>(it);
+  for (int l = 0; l < nlines; ++l) {
+    for (int n = 0; n < nm; ++n)
+      for (int i = 0; i < it; ++i) {
+        const std::size_t idx = static_cast<std::size_t>(n) * pad + i;
+        ASSERT_EQ(scalar_prob.flux[l][idx], prob.flux[l][idx])
+            << "line " << l << " moment " << n << " cell " << i;
+      }
+    for (int i = 0; i < it; ++i) {
+      ASSERT_EQ(scalar_prob.phi_j[l][i], prob.phi_j[l][i])
+          << "line " << l << " cell " << i;
+      ASSERT_EQ(scalar_prob.phi_k[l][i], prob.phi_k[l][i])
+          << "line " << l << " cell " << i;
+    }
+    ASSERT_EQ(scalar_prob.phi_i[l], prob.phi_i[l]) << "line " << l;
+  }
+  EXPECT_EQ(s1.cells, s2.cells);
+  EXPECT_EQ(s1.fixups_applied, s2.fixups_applied);
+}
+
+template <typename Real>
+void run_bundle(const LineArgs<Real>* lines, int nlines, bool fixup,
+                KernelStats* stats) {
+  BundleScratch<Real> scratch(lines[0].it);
+  sweep_bundle_simd(lines, nlines, fixup, scratch, stats);
+}
+
+template <typename Real>
+void run_chunk(const LineArgs<Real>* lines, int nlines, bool fixup,
+               KernelStats* stats) {
+  BundleScratch<Real> scratch(lines[0].it);
+  sweep_chunk(lines, nlines, fixup, scratch, stats);
+}
+
 // (nlines, it, nm, fixup&thick, dir)
 using ShapeParam = std::tuple<int, int, int, bool, int>;
 
@@ -162,35 +221,8 @@ class KernelEquivalence : public ::testing::TestWithParam<ShapeParam> {};
 
 TEST_P(KernelEquivalence, SimdBundleBitEqualsScalarDouble) {
   const auto [nlines, it, nm, thick, dir] = GetParam();
-  LineProblem<double> scalar_prob(nlines, it, nm, thick, 99);
-  LineProblem<double> simd_prob(nlines, it, nm, thick, 99);
-
-  KernelStats s1, s2;
-  for (int l = 0; l < nlines; ++l) {
-    LineArgs<double> a = scalar_prob.args(l, dir);
-    sweep_line_scalar(a, thick, &s1);
-  }
-  std::vector<LineArgs<double>> bundle;
-  for (int l = 0; l < nlines; ++l) bundle.push_back(simd_prob.args(l, dir));
-  BundleScratch<double> scratch(it);
-  sweep_bundle_simd(bundle.data(), nlines, thick, scratch, &s2);
-
-  for (int l = 0; l < nlines; ++l) {
-    for (int n = 0; n < nm; ++n)
-      for (int i = 0; i < it; ++i) {
-        const std::size_t idx =
-            static_cast<std::size_t>(n) * util::padded_extent<double>(it) + i;
-        ASSERT_EQ(scalar_prob.flux[l][idx], simd_prob.flux[l][idx])
-            << "line " << l << " moment " << n << " cell " << i;
-      }
-    for (int i = 0; i < it; ++i) {
-      ASSERT_EQ(scalar_prob.phi_j[l][i], simd_prob.phi_j[l][i]);
-      ASSERT_EQ(scalar_prob.phi_k[l][i], simd_prob.phi_k[l][i]);
-    }
-    ASSERT_EQ(scalar_prob.phi_i[l], simd_prob.phi_i[l]);
-  }
-  EXPECT_EQ(s1.cells, s2.cells);
-  EXPECT_EQ(s1.fixups_applied, s2.fixups_applied);
+  expect_bit_equal_to_scalar<double>(nlines, it, nm, thick, dir, 99,
+                                     run_bundle<double>);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -205,37 +237,8 @@ class KernelEquivalenceSp : public ::testing::TestWithParam<ShapeParam> {};
 
 TEST_P(KernelEquivalenceSp, SimdBundleBitEqualsScalarSingle) {
   const auto [nlines, it, nm, thick, dir] = GetParam();
-  LineProblem<float> scalar_prob(nlines, it, nm, thick, 7);
-  LineProblem<float> simd_prob(nlines, it, nm, thick, 7);
-
-  KernelStats s1, s2;
-  for (int l = 0; l < nlines; ++l) {
-    LineArgs<float> a = scalar_prob.args(l, dir);
-    sweep_line_scalar(a, thick, &s1);
-  }
-  std::vector<LineArgs<float>> bundle;
-  for (int l = 0; l < nlines; ++l) bundle.push_back(simd_prob.args(l, dir));
-  BundleScratch<float> scratch(it);
-  sweep_bundle_simd(bundle.data(), nlines, thick, scratch, &s2);
-
-  for (int l = 0; l < nlines; ++l) {
-    for (int n = 0; n < nm; ++n)
-      for (int i = 0; i < it; ++i) {
-        const std::size_t idx =
-            static_cast<std::size_t>(n) * util::padded_extent<float>(it) + i;
-        ASSERT_EQ(scalar_prob.flux[l][idx], simd_prob.flux[l][idx])
-            << "line " << l << " moment " << n << " cell " << i;
-      }
-    for (int i = 0; i < it; ++i) {
-      ASSERT_EQ(scalar_prob.phi_j[l][i], simd_prob.phi_j[l][i])
-          << "line " << l << " cell " << i;
-      ASSERT_EQ(scalar_prob.phi_k[l][i], simd_prob.phi_k[l][i])
-          << "line " << l << " cell " << i;
-    }
-    ASSERT_EQ(scalar_prob.phi_i[l], simd_prob.phi_i[l]) << "line " << l;
-  }
-  EXPECT_EQ(s1.cells, s2.cells);
-  EXPECT_EQ(s1.fixups_applied, s2.fixups_applied);
+  expect_bit_equal_to_scalar<float>(nlines, it, nm, thick, dir, 7,
+                                    run_bundle<float>);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -243,6 +246,80 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 4), ::testing::Values(5, 50),
                        ::testing::Values(6), ::testing::Bool(),
                        ::testing::Values(+1, -1)));
+
+// The host chunk kernel computes every functional solve, so it is
+// checked on line lengths that leave partial vectors (it % 2, it % 4),
+// every chunk width, both directions and the moment counts in use.
+class ChunkEquivalence : public ::testing::TestWithParam<ShapeParam> {};
+
+TEST_P(ChunkEquivalence, ChunkBitEqualsScalarDouble) {
+  const auto [nlines, it, nm, thick, dir] = GetParam();
+  expect_bit_equal_to_scalar<double>(nlines, it, nm, thick, dir, 41,
+                                     run_chunk<double>);
+}
+
+TEST_P(ChunkEquivalence, ChunkBitEqualsScalarSingle) {
+  const auto [nlines, it, nm, thick, dir] = GetParam();
+  expect_bit_equal_to_scalar<float>(nlines, it, nm, thick, dir, 43,
+                                    run_chunk<float>);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ChunkEquivalence,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4),          // nlines
+                       ::testing::Values(1, 2, 3, 5, 50, 67),  // it
+                       ::testing::Values(1, 6, 16),            // nm
+                       ::testing::Bool(),                      // thick/fixup
+                       ::testing::Values(+1, -1)));            // direction
+
+/// Mixed thin and thick cells: with per-line inflows and angles, each
+/// line needs fixups on its own subset of cells.
+void mixed_thickness(LineProblem<double>& prob) {
+  util::SplitMix64 rng(5);
+  for (int i = 0; i < prob.it_; ++i)
+    prob.sigt[i] = rng.next_double(1.0, 30.0);
+}
+
+TEST(ChunkKernel, LanesFixUpOnDifferentCells) {
+  // Lanes of one vector take the scalar re-solve on different cells,
+  // and the chunk and SPU bundle kernels still match the scalar kernel
+  // bit for bit. (The thick LineProblem fixes up nearly every cell, so
+  // the shape sweeps above seldom mix the two paths in one vector.)
+  LineProblem<double> prob(4, 50, 6, /*thick=*/true, 41);
+  mixed_thickness(prob);
+  std::uint64_t fixups[4];
+  for (int l = 0; l < 4; ++l) {
+    KernelStats st;
+    LineArgs<double> a = prob.args(l, +1);
+    sweep_line_scalar(a, true, &st);
+    fixups[l] = st.fixups_applied;
+    EXPECT_GT(fixups[l], 0u) << "line " << l;
+    EXPECT_LT(fixups[l], 50u) << "line " << l;
+  }
+  EXPECT_TRUE(fixups[0] != fixups[1] || fixups[0] != fixups[2] ||
+              fixups[0] != fixups[3]);
+  expect_bit_equal_to_scalar<double>(4, 50, 6, true, +1, 41,
+                                     run_chunk<double>, mixed_thickness);
+  expect_bit_equal_to_scalar<double>(4, 50, 6, true, -1, 41,
+                                     run_bundle<double>, mixed_thickness);
+}
+
+TEST(ChunkKernel, ChunkValidatesShape) {
+  LineProblem<double> prob(2, 10, 6, false, 5);
+  BundleScratch<double> scratch(10);
+  LineArgs<double> ok[2] = {prob.args(0, +1), prob.args(1, +1)};
+  EXPECT_THROW(sweep_chunk(ok, 0, false, scratch), std::invalid_argument);
+  EXPECT_THROW(sweep_chunk(ok, 5, false, scratch), std::invalid_argument);
+
+  LineArgs<double> bad_dir[2] = {prob.args(0, +1), prob.args(1, -1)};
+  EXPECT_THROW(sweep_chunk(bad_dir, 2, false, scratch), std::invalid_argument);
+  LineArgs<double> bad_it[2] = {prob.args(0, +1), prob.args(1, +1)};
+  bad_it[1].it = 9;
+  EXPECT_THROW(sweep_chunk(bad_it, 2, false, scratch), std::invalid_argument);
+  LineArgs<double> bad_nm[2] = {prob.args(0, +1), prob.args(1, +1)};
+  bad_nm[1].nm = 5;
+  EXPECT_THROW(sweep_chunk(bad_nm, 2, false, scratch), std::invalid_argument);
+}
 
 TEST(Kernel, FixupsReportedInThickCells) {
   LineProblem<double> prob(1, 20, 6, /*thick=*/true, 3);

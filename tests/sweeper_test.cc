@@ -265,6 +265,44 @@ TEST(Sweeper, P3ScatteringSolves) {
   EXPECT_GT(state.flux().moment_sum(0), 0.0);
 }
 
+// Solver-level physics pinned hex-exact, so the functional kernel is
+// checked against recorded numbers rather than only against other runs
+// of the same code. The values were recorded with the per-line scalar
+// kernel (sweep_line_scalar); a kernel change that moves any bit -- an
+// FMA contraction, a reordered sum, a lost or extra fixup -- fails
+// here, at any thread count.
+class PhysicsGolden : public ::testing::TestWithParam<int> {};
+
+TEST_P(PhysicsGolden, BenchmarkCube12) {
+  const Problem p = Problem::benchmark_cube(12);
+  SnQuadrature quad(6);
+  SweepState<double> state(p, quad, 2, kBenchmarkMoments);
+  SweepConfig cfg = config(4, 3, 4, 2);
+  cfg.threads = GetParam();
+  const SolveResult r = solve_source_iteration(state, cfg);
+  EXPECT_EQ(state.absorption_rate(), 0x1.5abdaf6fc2f82p+1);
+  EXPECT_EQ(state.leakage().total(), 0x1.50a32ba63dfb1p+2);
+  EXPECT_EQ(r.totals.fixup_cells, 0u);
+}
+
+TEST_P(PhysicsGolden, ThickReflectiveShield15) {
+  // Optically thick slab with two reflective faces and fixups from the
+  // first iteration; it = 15 leaves a partial vector at the line end.
+  Problem p = Problem::shield(15);
+  p.set_boundary(kFaceWest, FaceBc::kReflective);
+  p.set_boundary(kFaceBottom, FaceBc::kReflective);
+  SnQuadrature quad(6);
+  SweepState<double> state(p, quad, 2, kBenchmarkMoments);
+  SweepConfig cfg = config(5, 3, 4, 0);
+  cfg.threads = GetParam();
+  const SolveResult r = solve_source_iteration(state, cfg);
+  EXPECT_EQ(state.absorption_rate(), 0x1.42f0bf5811fcep+1);
+  EXPECT_EQ(state.leakage().total(), 0x1.4154549114ebdp+1);
+  EXPECT_EQ(r.totals.fixup_cells, 106975u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PhysicsGolden, ::testing::Values(1, 3));
+
 TEST(Sweeper, FullMomentSetAlsoWorks) {
   const Problem p = Problem::benchmark_cube(6);
   SnQuadrature quad(6);
