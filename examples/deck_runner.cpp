@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "analysis/diagnostics.h"
@@ -46,11 +47,26 @@ using namespace cellsweep;
 
 namespace {
 
-core::OptimizationStage stage_from_name(const std::string& name) {
-  if (name == "ppe") return core::OptimizationStage::kPpeXlc;
-  if (name == "initial") return core::OptimizationStage::kSpeInitial;
-  if (name == "simd") return core::OptimizationStage::kSpeSimd;
-  return core::OptimizationStage::kSpeLsPoke;
+/// Prints every finding of @p diags to stderr, prefixed with @p source;
+/// returns whether any of them is an error.
+bool report_findings(const analysis::Diagnostics& diags,
+                     const std::string& source) {
+  for (const analysis::Diagnostic& d : diags.entries())
+    std::cerr << source << ": " << d.to_string() << "\n";
+  return diags.has_errors();
+}
+
+/// The --check verdict on the hazard checker's @p diags: prints the
+/// findings and returns whether the run was clean.
+bool hazard_clean(const analysis::Diagnostics& diags,
+                  const std::string& source) {
+  if (report_findings(diags, source)) {
+    std::cerr << "deck_runner: hazard check failed with "
+              << diags.error_count() << " error(s)\n";
+    return false;
+  }
+  std::cout << "Hazard check: clean\n";
+  return true;
 }
 
 /// `deck_runner [--workload=...] lint <file>...`: statically validate
@@ -75,9 +91,7 @@ int run_lint(const std::vector<std::string>& paths,
         cfg.sweep = deck.sweep;
         diags = analysis::lint_deck(deck, cfg);
       }
-      for (const analysis::Diagnostic& d : diags.entries())
-        std::cerr << source << ": " << d.to_string() << "\n";
-      if (diags.has_errors()) {
+      if (report_findings(diags, source)) {
         ++failed;
       } else {
         std::cout << source << ": ok\n";
@@ -522,7 +536,8 @@ int main(int argc, char** argv) {
                "input workload: sweep (Sweep3D decks) | stencil "
                "(red-black stencil specs)");
   cli.add_flag("stage", "final",
-               "optimization stage: ppe | initial | simd | final");
+               "optimization stage: ppe | initial | simd | final, or a "
+               "ladder slug (ppe-gcc ... future-single)");
   cli.add_flag("check", "false",
                "attach the machine-model hazard checker; protocol "
                "violations become hard errors");
@@ -610,8 +625,14 @@ int main(int argc, char** argv) {
     }
   }();
 
-  const core::OptimizationStage stage =
-      stage_from_name(cli.get_string("stage"));
+  const core::OptimizationStage stage = [&] {
+    try {
+      return core::parse_stage(cli.get_string("stage"));
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "deck_runner: --stage: " << e.what() << "\n";
+      std::exit(1);
+    }
+  }();
 
   if (cli.positional()[0] == "lint") {
     std::vector<std::string> paths(cli.positional().begin() + 1,
@@ -691,15 +712,12 @@ int main(int argc, char** argv) {
               << " (" << spec.blocks() << "), " << spec.iterations
               << " iteration(s)\n";
 
-    // --check: lint the spec, then observe the run with the hazard
-    // checker; any finding is a hard error.
-    if (check) {
-      const analysis::Diagnostics lint = analysis::lint_stencil(spec, cfg);
-      for (const analysis::Diagnostic& d : lint.entries())
-        std::cerr << spec.origin << ": " << d.to_string() << "\n";
-      if (lint.has_errors()) return 1;
-      cfg.hazard = &checker;
-    }
+    // Lint first: a spec the linter rejects is one the runner would
+    // fail on. --check then observes the run with the hazard checker;
+    // any finding is a hard error.
+    if (report_findings(analysis::lint_stencil(spec, cfg), spec.origin))
+      return 1;
+    if (check) cfg.hazard = &checker;
 
     stencil::CellStencil runner(spec, cfg);
     const core::RunMode mode = cli.get_bool("functional")
@@ -717,16 +735,7 @@ int main(int argc, char** argv) {
       std::cout << "Solve: " << rep.updates << " updates, checksum "
                 << rep.checksum << ", residual " << rep.residual << "\n";
     }
-    if (check) {
-      for (const analysis::Diagnostic& d : diags.entries())
-        std::cerr << spec.origin << ": " << d.to_string() << "\n";
-      if (diags.has_errors()) {
-        std::cerr << "deck_runner: hazard check failed with "
-                  << diags.error_count() << " error(s)\n";
-        return 1;
-      }
-      std::cout << "Hazard check: clean\n";
-    }
+    if (check && !hazard_clean(diags, spec.origin)) return 1;
     return emit_report(rep.run, stage, profile_windows, trace_path,
                        metrics_path, writer);
   }
@@ -749,22 +758,19 @@ int main(int argc, char** argv) {
   deck.sweep.threads = threads;
   cfg.sweep = deck.sweep;
 
-  // --check: lint the deck, then observe the run with the hazard
-  // checker; any finding is a hard error.
-  if (check) {
-    const analysis::Diagnostics lint = analysis::lint_deck(deck, cfg);
-    for (const analysis::Diagnostic& d : lint.entries())
-      std::cerr << deck.source << ": " << d.to_string() << "\n";
-    if (lint.has_errors()) return 1;
-    cfg.hazard = &checker;
-  }
+  // Lint first: a deck the linter rejects is one the runner would fail
+  // on. --check then observes the run with the hazard checker; any
+  // finding is a hard error.
+  if (report_findings(analysis::lint_deck(deck, cfg), deck.source)) return 1;
+  if (check) cfg.hazard = &checker;
 
   // Reflective decks need the functional solver for physics.
   const core::RunMode mode =
       deck.problem.any_reflective() || cli.get_bool("functional")
           ? core::RunMode::kFunctional
           : core::RunMode::kTraceDriven;
-  core::CellSweep3D runner(deck.problem, cfg, deck.sn_order, 2, deck.nm_cap);
+  core::CellSweep3D runner(deck.problem, cfg, deck.sn_order, deck.l_max(),
+                           deck.nm_cap);
   const core::RunReport rep = [&] {
     try {
       return runner.run(mode);
@@ -781,16 +787,7 @@ int main(int argc, char** argv) {
               << rep.leakage.total() << ", fixup cells "
               << r.totals.fixup_cells << "\n";
   }
-  if (check) {
-    for (const analysis::Diagnostic& d : diags.entries())
-      std::cerr << deck.source << ": " << d.to_string() << "\n";
-    if (diags.has_errors()) {
-      std::cerr << "deck_runner: hazard check failed with "
-                << diags.error_count() << " error(s)\n";
-      return 1;
-    }
-    std::cout << "Hazard check: clean\n";
-  }
+  if (check && !hazard_clean(diags, deck.source)) return 1;
   return emit_report(rep, stage, profile_windows, trace_path, metrics_path,
                      writer);
 }

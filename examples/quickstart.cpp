@@ -7,6 +7,7 @@
 // performance report -- the two halves this library provides.
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/orchestrator.h"
 #include "util/cli.h"
@@ -20,7 +21,8 @@ int main(int argc, char** argv) {
   cli.add_flag("cube", "20", "cube size (cells per side)");
   cli.add_flag("iterations", "8", "source iterations");
   cli.add_flag("stage", "final",
-               "optimization stage: ppe | initial | simd | final");
+               "optimization stage: ppe | initial | simd | final, or a "
+               "ladder slug (ppe-gcc ... future-single)");
   if (!cli.parse(argc, argv)) {
     std::cerr << cli.error() << "\n" << cli.usage(argv[0]);
     return 1;
@@ -38,11 +40,13 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n" << cli.usage(argv[0]);
     return 1;
   }
-  const std::string stage_name = cli.get_string("stage");
   core::OptimizationStage stage = core::OptimizationStage::kSpeLsPoke;
-  if (stage_name == "ppe") stage = core::OptimizationStage::kPpeXlc;
-  else if (stage_name == "initial") stage = core::OptimizationStage::kSpeInitial;
-  else if (stage_name == "simd") stage = core::OptimizationStage::kSpeSimd;
+  try {
+    stage = core::parse_stage(cli.get_string("stage"));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "quickstart: --stage: " << e.what() << "\n";
+    return 1;
+  }
 
   // 1. Define the problem: the paper's homogeneous benchmark cube.
   const sweep::Problem problem = sweep::Problem::benchmark_cube(cube);

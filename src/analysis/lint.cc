@@ -4,68 +4,36 @@
 #include <stdexcept>
 #include <string>
 
+#include "cellsim/local_store.h"
 #include "cellsim/mfc.h"
-#include "core/workload.h"
-#include "sweep/kernel_simd.h"
+#include "core/orchestrator.h"
+#include "core/streaming_pipeline.h"
 #include "sweep/quadrature.h"
-#include "util/aligned.h"
 #include "workloads/stencil/stencil.h"
 
 namespace cellsweep::analysis {
 
 namespace {
 
-/// Mirrors TimingEngine's request construction for one transfer class,
-/// so Mfc::validate judges exactly the commands the run would submit.
-cell::DmaRequest lint_request(const core::CellSweepConfig& cfg,
-                              const core::TransferPlan& plan,
-                              cell::DmaDir dir, std::size_t bytes_total) {
-  cell::DmaRequest req;
-  req.dir = dir;
-  req.alignment = cfg.aligned_rows ? 128 : 16;
-  req.banks_touched =
-      cfg.bank_offsets ? cfg.chip.memory_banks : cfg.chip.banks_without_offsets;
-  req.total_bytes =
-      util::round_up(std::max<std::size_t>(bytes_total, 16), 16);
-  if (!cfg.dma_lists) {
-    req.as_list = false;
-    req.element_bytes = plan.row_bytes;
-  } else {
-    req.as_list = true;
-    // At least one row, at most the 16 KB command cap; when a row
-    // itself exceeds the cap, keep the row size so Mfc::validate
-    // rejects the shape instead of silently shrinking it.
-    req.element_bytes = util::round_up(
-        std::max(std::min<std::size_t>(cfg.dma_granularity,
-                                       cfg.chip.dma_max_bytes),
-                 plan.row_bytes),
-        16);
-  }
-  return req;
-}
-
 /// The workload-independent machine checks, shared by lint_deck and
-/// lint_stencil: the LS budget of @p plan's staging buffer under the
-/// configured buffer count (plus @p resident_bytes of workload
-/// constants and the code reserve), the MFC tag budget of the buffer
-/// rotation, and the DMA legality of the three transfer classes the
-/// StreamingPipeline would submit.
+/// lint_stencil: the runner's LS @p placement on a fresh local store
+/// under the configured buffer count, the MFC tag budget of the buffer
+/// rotation, and the DMA legality of the commands the
+/// StreamingPipeline submits for one chunk of @p plan.
 void lint_machine(Diagnostics& diags, const core::CellSweepConfig& cfg,
-                  const core::TransferPlan& plan, std::size_t resident_bytes,
+                  const core::LsPlacement& placement,
+                  const core::TransferPlan& plan,
                   const std::string& ls_where) {
   const int buffers = std::max(cfg.buffers, 1);
-  const std::size_t code_reserve = 48 * 1024;
-  const std::size_t per_buffer = util::round_up(plan.ls_buffer_bytes, 128);
-  const std::size_t need = code_reserve + resident_bytes +
-                           static_cast<std::size_t>(buffers) * per_buffer;
-  if (need > cfg.chip.local_store_bytes)
+  cell::LocalStore ls(cfg.chip.local_store_bytes);
+  try {
+    placement.place(ls, buffers);
+  } catch (const cell::LocalStoreOverflow& e) {
     diags.error("ls-budget", ls_where,
                 std::to_string(buffers) + " staging buffer(s) of " +
-                    std::to_string(per_buffer) + " bytes plus " +
-                    std::to_string(code_reserve + resident_bytes) +
-                    " resident bytes need " + std::to_string(need) +
-                    " bytes; the local store holds " +
-                    std::to_string(cfg.chip.local_store_bytes));
+                    std::to_string(placement.buffer_bytes) +
+                    " bytes do not fit: " + e.what());
+  }
 
   // MFC tag budget: gets use tags [0, buffers), puts [buffers,
   // 2*buffers) -- the rotation must fit the CBEA's tag-group space.
@@ -84,20 +52,11 @@ void lint_machine(Diagnostics& diags, const core::CellSweepConfig& cfg,
   cell::Eib eib(cfg.chip);
   cell::Mic mic(cfg.chip);
   cell::Mfc mfc(cfg.chip, &eib, &mic, "lint");
-  const struct {
-    const char* name;
-    cell::DmaDir dir;
-    std::size_t bytes;
-  } classes[] = {
-      {"bulk-get", cell::DmaDir::kGet, plan.bulk_get_bytes()},
-      {"face-get", cell::DmaDir::kGet, plan.face_get_bytes()},
-      {"put", cell::DmaDir::kPut, plan.put_bytes()},
-  };
-  for (const auto& c : classes) {
+  for (const core::ChunkDma& dma : core::chunk_dmas(cfg, plan)) {
     try {
-      mfc.validate(lint_request(cfg, plan, c.dir, c.bytes));
+      mfc.validate(dma.req);
     } catch (const cell::DmaError& e) {
-      diags.error("dma-shape", std::string(c.name), e.what());
+      diags.error("dma-shape", dma.name, e.what());
     }
   }
 }
@@ -117,17 +76,11 @@ Diagnostics lint_deck(const sweep::Deck& deck,
     return diags;  // nothing downstream is meaningful
   }
 
-  // Quadrature / moment consistency. The LQn builder accepts the
-  // orders Sweep3D supports; everything after needs the angle count.
+  // Quadrature: the LQn builder accepts the orders Sweep3D supports;
+  // the blocking check needs its angle count.
   int mm = 0;
-  int nm = deck.nm_cap;
   try {
-    const sweep::SnQuadrature quad(deck.sn_order);
-    mm = quad.angles_per_octant();
-    // Runners build the moment table at the benchmark convention of
-    // P2 scattering (or higher if the deck's materials demand it).
-    const int l_max = std::max(2, deck.problem.max_scattering_order());
-    nm = sweep::MomentTable(quad, l_max, deck.nm_cap).nm();
+    mm = sweep::SnQuadrature(deck.sn_order).angles_per_octant();
   } catch (const std::exception& e) {
     diags.error("quadrature", "sn " + std::to_string(deck.sn_order),
                 e.what());
@@ -145,21 +98,25 @@ Diagnostics lint_deck(const sweep::Deck& deck,
     }
   }
 
-  if (nm < 1) {
+  // Moments: the count every runner carries, at the deck's one
+  // scattering order (Deck::l_max).
+  int nm = 0;
+  try {
+    nm = deck.moments();
+  } catch (const std::exception& e) {
     diags.error("moments", "moments " + std::to_string(deck.nm_cap),
-                "at least one flux moment is required");
+                e.what());
     return diags;
   }
 
-  // Local-store budget: the largest chunk's staging buffer, times the
-  // buffer count, plus the resident constants and the code reserve,
-  // must fit in one SPE's local store -- the budget the paper's port
-  // had to respect by hand (Section 2: 256 KB for code AND data).
-  const std::size_t real_bytes =
-      cfg.precision == core::Precision::kDouble ? 8 : 4;
-  const core::TransferPlan plan = core::plan_chunk(core::ChunkShape{
-      sweep::kBundleLines, grid.it, nm, real_bytes, cfg.aligned_rows});
-  lint_machine(diags, cfg, plan, 4 * 1024, "it " + std::to_string(grid.it));
+  // Machine fit of the largest chunk: the placement the runner makes
+  // -- the budget the paper's port had to respect by hand (Section 2:
+  // 256 KB for code AND data) -- and the chunk's DMA commands.
+  const core::LsPlacement placement = core::sweep_placement(cfg, grid, nm);
+  const core::TransferPlan plan = core::plan_chunk(
+      core::ChunkShape{sweep::kBundleLines, grid.it, nm,
+                       core::bytes_per_real(cfg.precision), cfg.aligned_rows});
+  lint_machine(diags, cfg, placement, plan, "it " + std::to_string(grid.it));
 
   return diags;
 }
@@ -179,12 +136,10 @@ Diagnostics lint_stencil(const stencil::StencilSpec& spec,
   }
 
   // Machine fit of one block's working set, judged on the exact
-  // transfer plan the stencil runner would stream.
-  const std::size_t real_bytes =
-      cfg.precision == core::Precision::kDouble ? 8 : 4;
-  const core::TransferPlan plan =
-      stencil::plan_block(spec, real_bytes, cfg.aligned_rows);
-  lint_machine(diags, cfg, plan, 1024,
+  // placement and transfer plan the stencil runner would stream.
+  const core::TransferPlan plan = stencil::plan_block(
+      spec, core::bytes_per_real(cfg.precision), cfg.aligned_rows);
+  lint_machine(diags, cfg, stencil::placement(spec, cfg), plan,
                "bx " + std::to_string(spec.bx) + " by " +
                    std::to_string(spec.by) + " bz " +
                    std::to_string(spec.bz));

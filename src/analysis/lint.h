@@ -5,9 +5,12 @@
 // the configured buffer count, blocking factors that do not divide the
 // grid/quadrature, DMA element shapes that violate the CBEA command
 // rules the paper quotes in Section 2, or a buffer rotation that runs
-// out of MFC tag groups. Reuses the real planners and validators
-// (core::plan_chunk, cell::Mfc::validate, sweep::SweepConfig::validate)
-// so lint and runtime can never disagree about what is legal.
+// out of MFC tag groups. Reuses the runner's own decisions -- the LS
+// placement (core::sweep_placement, stencil::placement) placed on a
+// real cell::LocalStore, the chunk's DMA commands (core::chunk_dmas)
+// judged by cell::Mfc::validate, the moment count (Deck::moments) and
+// sweep::SweepConfig::validate -- so lint and runtime can never
+// disagree about what is legal.
 #pragma once
 
 #include "analysis/diagnostics.h"

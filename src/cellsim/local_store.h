@@ -41,6 +41,11 @@ class LocalStore {
   /// LS offset. Throws LocalStoreOverflow if it does not fit.
   std::size_t allocate(const std::string& name, std::size_t bytes);
 
+  /// Bytes an allocation of @p bytes occupies (128-byte granules).
+  static std::size_t padded(std::size_t bytes) noexcept {
+    return util::round_up(bytes, util::kCacheLineBytes);
+  }
+
   /// Releases everything allocated after construction (the code
   /// reservation stays). Used between sweep configurations.
   void reset() noexcept;

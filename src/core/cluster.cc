@@ -30,15 +30,12 @@ void feed_block(TimingEngine& engine, const sweep::Grid& tile,
 double isolated_seconds(const sweep::Grid& grid, const CellSweepConfig& cfg,
                         int nm, int angles) {
   TimingEngine engine(cfg, grid, nm);
-  for (int iter = 0; iter < cfg.sweep.max_iterations; ++iter) {
-    const bool fixup = iter >= cfg.sweep.fixup_from_iteration;
-    const int nkb = grid.kt / cfg.sweep.mk;
-    const int nab = angles / cfg.sweep.mmi;
-    for (int iq = 0; iq < 8; ++iq)
-      for (int ab = 0; ab < nab; ++ab)
-        for (int kb = 0; kb < nkb; ++kb)
-          feed_block(engine, grid, cfg.sweep, iq, ab, kb, fixup);
-  }
+  const sweep::DiagonalObserver feed = [&](const sweep::DiagonalWork& w) {
+    engine.on_diagonal(w);
+  };
+  for (int iter = 0; iter < cfg.sweep.max_iterations; ++iter)
+    enumerate_sweep(grid, angles, cfg.sweep,
+                    iter >= cfg.sweep.fixup_from_iteration, feed);
   return engine.finish().seconds;
 }
 
@@ -81,7 +78,7 @@ ClusterReport simulate_cluster(const sweep::Grid& global,
     });
   }
 
-  const std::size_t rb = chip.precision == Precision::kDouble ? 8 : 4;
+  const std::size_t rb = bytes_per_real(chip.precision);
   const double bytes_i =
       static_cast<double>(chip.sweep.mmi) * chip.sweep.mk * tile.jt * rb;
   const double bytes_j =

@@ -1,25 +1,57 @@
 #include "core/config.h"
 
+#include <stdexcept>
+
 namespace cellsweep::core {
 
+namespace {
+
+/// Every stage name: the 12 ladder slugs with their display names (one
+/// row per stage, in ladder order), then the short CLI aliases.
+struct StageRow {
+  OptimizationStage stage;
+  const char* slug;
+  const char* display;
+};
+using OS = OptimizationStage;
+constexpr StageRow kStages[] = {
+    {OS::kPpeGcc, "ppe-gcc", "PPE (GCC)"},
+    {OS::kPpeXlc, "ppe-xlc", "PPE (XLC)"},
+    {OS::kSpeInitial, "spe-initial", "8 SPEs, initial port"},
+    {OS::kSpeAligned, "spe-aligned", "+ gotos removed, 128B rows"},
+    {OS::kSpeBuffered, "spe-buffered", "+ double buffering"},
+    {OS::kSpeSimd, "spe-simd", "+ SIMD intrinsics"},
+    {OS::kSpeDmaLists, "spe-dmalists", "+ DMA lists, bank offsets"},
+    {OS::kSpeLsPoke, "spe-lspoke", "+ direct LS-poke sync"},
+    {OS::kFutureBigDma, "future-bigdma", "[future] larger DMA granularity"},
+    {OS::kFutureDistributed, "future-distributed",
+     "[future] distributed dispatch"},
+    {OS::kFuturePipelinedDp, "future-pipelineddp",
+     "[future] fully pipelined DP"},
+    {OS::kFutureSingle, "future-single", "[future] single precision"},
+    {OS::kPpeXlc, "ppe", nullptr},
+    {OS::kSpeInitial, "initial", nullptr},
+    {OS::kSpeSimd, "simd", nullptr},
+    {OS::kSpeLsPoke, "final", nullptr},
+};
+
+}  // namespace
+
 const char* stage_name(OptimizationStage s) {
-  switch (s) {
-    case OptimizationStage::kPpeGcc:        return "PPE (GCC)";
-    case OptimizationStage::kPpeXlc:        return "PPE (XLC)";
-    case OptimizationStage::kSpeInitial:    return "8 SPEs, initial port";
-    case OptimizationStage::kSpeAligned:    return "+ gotos removed, 128B rows";
-    case OptimizationStage::kSpeBuffered:   return "+ double buffering";
-    case OptimizationStage::kSpeSimd:       return "+ SIMD intrinsics";
-    case OptimizationStage::kSpeDmaLists:   return "+ DMA lists, bank offsets";
-    case OptimizationStage::kSpeLsPoke:     return "+ direct LS-poke sync";
-    case OptimizationStage::kFutureBigDma:  return "[future] larger DMA granularity";
-    case OptimizationStage::kFutureDistributed:
-      return "[future] distributed dispatch";
-    case OptimizationStage::kFuturePipelinedDp:
-      return "[future] fully pipelined DP";
-    case OptimizationStage::kFutureSingle:  return "[future] single precision";
-  }
+  for (const StageRow& row : kStages)
+    if (row.stage == s) return row.display;
   return "?";
+}
+
+OptimizationStage parse_stage(const std::string& name) {
+  std::string valid;
+  for (const StageRow& row : kStages) {
+    if (name == row.slug) return row.stage;
+    valid += valid.empty() ? "" : ", ";
+    valid += row.slug;
+  }
+  throw std::invalid_argument("unknown stage '" + name + "' (valid: " +
+                              valid + ")");
 }
 
 CellSweepConfig CellSweepConfig::from_stage(OptimizationStage s) {

@@ -30,8 +30,8 @@ class KernelCostModel;
 class SpeAllocator;
 
 /// Which chunk kernel the timing model prices. The physics always runs
-/// the scalar line kernel (bit-identical to the SIMD bundle); only the
-/// simulated SPU time depends on this choice.
+/// the host chunk kernel sweep_chunk (bit-identical to the scalar line
+/// kernel); only the simulated SPU time depends on this choice.
 enum class KernelKind : std::uint8_t {
   kScalar,  ///< Figure 8 scalar code (PPE / pre-SIMD SPE path)
   kSimd,    ///< Figure 7 four-logical-thread SIMD bundles
@@ -60,11 +60,23 @@ enum class OptimizationStage : std::uint8_t {
 
 const char* stage_name(OptimizationStage s);
 
-/// The workload-agnostic machine switches of one streaming run: the
-/// subset of CellSweepConfig the core::StreamingPipeline reads. Every
-/// workload client (Sweep3D, the even/odd stencil) maps its own
-/// configuration surface onto this view; CellSweepConfig::stream() is
-/// the sweep-side projection.
+/// Bytes of one real of @p p in the kernels and DMA payloads.
+constexpr std::size_t bytes_per_real(Precision p) noexcept {
+  return p == Precision::kDouble ? 8 : 4;
+}
+
+/// The OptimizationStage of a name: one of the 12 ladder slugs
+/// (ppe-gcc, ppe-xlc, spe-initial, spe-aligned, spe-buffered, spe-simd,
+/// spe-dmalists, spe-lspoke, future-bigdma, future-distributed,
+/// future-pipelineddp, future-single) or a short CLI alias (ppe,
+/// initial, simd, final). Throws std::invalid_argument naming every
+/// valid name when @p name is none of them.
+OptimizationStage parse_stage(const std::string& name);
+
+/// The workload-agnostic machine switches of one streaming run: what
+/// core::StreamingPipeline reads. Every workload client (Sweep3D, the
+/// even/odd stencil) runs under a CellSweepConfig, which extends this
+/// with the sweep-side switches.
 struct StreamConfig {
   /// 1 = synchronous staging, 2 = double buffering (clamped to >= 1).
   int buffers = 2;
@@ -73,19 +85,44 @@ struct StreamConfig {
   bool dma_lists = true;
   /// Offset array allocations to spread rows over all 16 memory banks.
   bool bank_offsets = true;
-  /// 128-byte alignment of every DMA'd row.
+  /// 128-byte alignment of every DMA'd row (Section 5 step 3 plus the
+  /// "rows of the multi-dimensional arrays are 128-byte aligned" fix).
   bool aligned_rows = true;
-  /// Bytes per DMA(-list element).
+  /// Bytes per DMA(-list element); the shipped implementation moved
+  /// 512-byte rows, Figure 10's first projection raises this.
   std::size_t dma_granularity = 512;
   cell::SyncProtocol sync = cell::SyncProtocol::kLsPoke;
+  /// Cell revision (fully pipelined DP for kFuturePipelinedDp).
   cell::CellSpec chip{};
-  /// Observability hooks (non-owning, may be null); identical contracts
-  /// to the CellSweepConfig fields of the same names: pure observation,
-  /// no simulated tick ever depends on them.
+  /// Observability hook (non-owning, may be null): the timing engine
+  /// emits simulated-time spans -- kernels, DMA phases, sync waits,
+  /// dispatch -- into this sink. Pure observation: enabling it changes
+  /// no simulated tick (pinned by a test).
   sim::TraceSink* trace_sink = nullptr;
+  /// Time-sliced profiler hook (non-owning, may be null): when set, the
+  /// engine routes its trace stream through this profiler (which
+  /// forwards to trace_sink, so both may be attached) and copies the
+  /// resulting utilization-over-time series into RunReport.timeseries.
+  /// Same contract as trace_sink: pure observation, bit-identical
+  /// timing with or without it (pinned by a test). One profiler serves
+  /// one run.
   sim::TimeSlicedProfiler* profiler = nullptr;
+  /// Protocol observability hook (non-owning, may be null): the timing
+  /// engine narrates machine-model actions -- LS allocations, DMA
+  /// submissions with region and tag group, tag waits, kernel buffer
+  /// accesses, dispatch grants/reports -- into this observer. Same
+  /// contract as trace_sink: pure observation, no simulated tick ever
+  /// depends on it (pinned by a test). The hazard checker
+  /// (src/analysis) attaches here; setting CELLSWEEP_HAZARD_CHECK in
+  /// the environment attaches an engine-owned checker that turns
+  /// violations into hard errors at finish().
   cell::MachineObserver* hazard = nullptr;
-  /// Fault injection (default: nothing can break).
+  /// Fault injection (default: nothing can break). When any mechanism
+  /// is armed the timing engine builds a sim::FaultPlan from this spec,
+  /// attaches it to the MFCs, MIC and dispatch fabric, and degrades
+  /// gracefully around disabled or failing SPEs. With faults.any()
+  /// false every fault path is skipped and runs stay bit-identical to
+  /// the fault-free build (pinned by tests and the perf baselines).
   sim::FaultSpec faults;
   /// Multi-tenant SPE partitioning (non-owning, may be null). When set,
   /// the pipeline claims SPEs from this shared allocator instead of
@@ -112,76 +149,18 @@ struct StreamConfig {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Mechanism switches of one configuration.
-struct CellSweepConfig {
+/// Mechanism switches of one configuration: the streaming machine
+/// switches plus the sweep-side ones.
+struct CellSweepConfig : StreamConfig {
   bool use_spes = true;  ///< false: the computation stays on the PPE
   bool xlc = true;       ///< PPE compiler quality (stage 0 vs 1)
   KernelKind kernel = KernelKind::kSimd;
-  /// 128-byte alignment of every DMA'd row (Section 5 step 3 plus the
-  /// "rows of the multi-dimensional arrays are 128-byte aligned" fix).
-  bool aligned_rows = true;
   /// Inner-loop gotos eliminated (unhinted branches removed).
   bool gotos_eliminated = true;
-  /// 1 = synchronous staging, 2 = double buffering.
-  int buffers = 2;
-  /// Batch each chunk's transfers into MFC DMA-list commands instead of
-  /// individual per-row DMAs.
-  bool dma_lists = true;
-  /// Offset array allocations to spread rows over all 16 memory banks.
-  bool bank_offsets = true;
-  cell::SyncProtocol sync = cell::SyncProtocol::kLsPoke;
   Precision precision = Precision::kDouble;
-  /// Bytes per DMA(-list element); the shipped implementation moved
-  /// 512-byte rows, Figure 10's first projection raises this.
-  std::size_t dma_granularity = 512;
-  /// Cell revision (fully pipelined DP for kFuturePipelinedDp).
-  cell::CellSpec chip{};
-  /// Observability hook (non-owning, may be null): the timing engine
-  /// emits simulated-time spans -- kernels, DMA phases, sync waits,
-  /// dispatch -- into this sink. Pure observation: enabling it changes
-  /// no simulated tick (pinned by a test).
-  sim::TraceSink* trace_sink = nullptr;
-  /// Time-sliced profiler hook (non-owning, may be null): when set, the
-  /// engine routes its trace stream through this profiler (which
-  /// forwards to trace_sink, so both may be attached) and copies the
-  /// resulting utilization-over-time series into RunReport.timeseries.
-  /// Same contract as trace_sink: pure observation, bit-identical
-  /// timing with or without it (pinned by a test). One profiler serves
-  /// one run.
-  sim::TimeSlicedProfiler* profiler = nullptr;
-  /// Protocol observability hook (non-owning, may be null): the timing
-  /// engine narrates machine-model actions -- LS allocations, DMA
-  /// submissions with region and tag group, tag waits, kernel buffer
-  /// accesses, dispatch grants/reports -- into this observer. Same
-  /// contract as trace_sink: pure observation, no simulated tick ever
-  /// depends on it (pinned by a test). The hazard checker
-  /// (src/analysis) attaches here; setting CELLSWEEP_HAZARD_CHECK in
-  /// the environment attaches an engine-owned checker that turns
-  /// violations into hard errors at finish().
-  cell::MachineObserver* hazard = nullptr;
-
-  /// Fault injection (default: nothing can break). When any mechanism
-  /// is armed the timing engine builds a sim::FaultPlan from this spec,
-  /// attaches it to the MFCs, MIC and dispatch fabric, and degrades
-  /// gracefully around disabled or failing SPEs. With faults.any()
-  /// false every fault path is skipped and runs stay bit-identical to
-  /// the fault-free build (pinned by tests and the perf baselines).
-  sim::FaultSpec faults;
 
   /// Blocking parameters forwarded to the sweep driver.
   sweep::SweepConfig sweep;
-
-  /// Multi-tenant SPE partitioning (see StreamConfig::spe_allocator;
-  /// null = single tenant owns the whole chip, byte-identical to the
-  /// pre-allocator build).
-  SpeAllocator* spe_allocator = nullptr;
-  /// Fewest SPEs this run may be squeezed to under pressure (>= 1).
-  int min_spes = 1;
-  /// QoS weight / SPE quota / cooperative cancel flag of this run (see
-  /// the StreamConfig fields of the same names).
-  int claim_weight = 1;
-  int claim_quota = 0;
-  const std::atomic<bool>* cancel = nullptr;
 
   /// Plan-cache hints (non-owning, may be null): pure functions of the
   /// deck that the solve server memoizes across jobs. When set they
@@ -199,29 +178,6 @@ struct CellSweepConfig {
 
   /// The Figure 5 / Figure 10 ladder.
   static CellSweepConfig from_stage(OptimizationStage s);
-
-  /// Projects the machine-level switches onto the workload-agnostic
-  /// StreamingPipeline configuration.
-  StreamConfig stream() const {
-    StreamConfig s;
-    s.buffers = buffers;
-    s.dma_lists = dma_lists;
-    s.bank_offsets = bank_offsets;
-    s.aligned_rows = aligned_rows;
-    s.dma_granularity = dma_granularity;
-    s.sync = sync;
-    s.chip = chip;
-    s.trace_sink = trace_sink;
-    s.profiler = profiler;
-    s.hazard = hazard;
-    s.faults = faults;
-    s.spe_allocator = spe_allocator;
-    s.min_spes = min_spes;
-    s.claim_weight = claim_weight;
-    s.claim_quota = claim_quota;
-    s.cancel = cancel;
-    return s;
-  }
 };
 
 }  // namespace cellsweep::core

@@ -6,27 +6,19 @@
 #include "sweep/plan.h"
 
 namespace cellsweep::core {
-namespace {
 
-std::size_t real_bytes_of(Precision p) {
-  return p == Precision::kDouble ? 8 : 4;
-}
-
-/// Local-store placement of the sweep: 4 KB of resident per-angle
-/// constants plus one staging buffer per rotation slot, sized for the
-/// largest chunk's working set. The pipeline validates the budget --
-/// buffers x working set (plus the constants) must fit in every SPE's
-/// 256 KB -- and throws cell::LocalStoreOverflow otherwise.
 LsPlacement sweep_placement(const CellSweepConfig& cfg,
                             const sweep::Grid& grid, int nm) {
   LsPlacement p;
   p.resident.emplace_back("angle-constants", 4 * 1024);
   p.buffer_bytes =
       plan_chunk(ChunkShape{sweep::kBundleLines, grid.it, nm,
-                            real_bytes_of(cfg.precision), cfg.aligned_rows})
+                            bytes_per_real(cfg.precision), cfg.aligned_rows})
           .ls_buffer_bytes;
   return p;
 }
+
+namespace {
 
 /// Wavefront dependency of one diagonal's chunk c on the previous
 /// diagonal: the lines of chunk c sit one diagonal step from lines
@@ -53,7 +45,7 @@ TimingEngine::TimingEngine(const CellSweepConfig& cfg,
       grid_(grid),
       nm_(nm),
       kernels_(cfg.chip),
-      pipeline_(cfg.stream(), sweep_placement(cfg, grid, nm)) {
+      pipeline_(cfg, sweep_placement(cfg, grid, nm)) {
   // Plan-cache hint: start from an already calibrated cost model (the
   // trace-scheduled chunk costs are the expensive part) instead of a
   // cold cache. Pure memoization -- the cached costs are deterministic
@@ -73,7 +65,7 @@ void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
   if (iteration_start) {
     const double bytes = (2.0 * nm_ + 1.0) *
                          static_cast<double>(grid_.cells()) *
-                         static_cast<double>(real_bytes_of(cfg_.precision));
+                         static_cast<double>(bytes_per_real(cfg_.precision));
     pipeline_.memory_pass("source-rebuild", bytes);
   }
 
@@ -94,7 +86,7 @@ void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
   // drift) -- each chunk priced by the trace-scheduled kernel cost
   // model and sized by its DMA transfer plan.
   const sweep::ChunkPlan plan(cfg_.sweep, grid_.jt, w);
-  const std::size_t rb = real_bytes_of(cfg_.precision);
+  const std::size_t rb = bytes_per_real(cfg_.precision);
   std::vector<StreamChunkSpec> specs;
   specs.reserve(plan.chunks().size());
   for (const sweep::ChunkDesc& pc : plan.chunks()) {
@@ -134,7 +126,7 @@ CellSweep3D::CellSweep3D(const sweep::Problem& problem,
   std::optional<sweep::SnQuadrature> own;
   const sweep::SnQuadrature& quad = quadrature(own);
   cfg_.sweep.validate(problem.grid().kt, quad.angles_per_octant());
-  nm_ = sweep::MomentTable(quad, l_max_, nm_cap).nm();
+  nm_ = sweep::MomentTable::count(l_max_, nm_cap);
   nm_cap_ = nm_cap;
 }
 
@@ -156,9 +148,8 @@ void CellSweep3D::run_functional(RunReport& report,
 RunReport CellSweep3D::run_on_ppe(RunMode mode) {
   std::optional<sweep::SnQuadrature> own;
   const sweep::SnQuadrature& quad = quadrature(own);
-  const int nm = nm_;
   const WorkloadTotals totals =
-      audit_workload(problem_->grid(), quad.angles_per_octant(), cfg_, nm);
+      audit_workload(problem_->grid(), quad.angles_per_octant(), cfg_, nm_);
 
   const perf::ProcessorModel ppe =
       cfg_.xlc ? perf::ppe_xlc() : perf::ppe_gcc();
@@ -183,8 +174,7 @@ RunReport CellSweep3D::run_on_ppe(RunMode mode) {
 RunReport CellSweep3D::run_on_spes(RunMode mode) {
   std::optional<sweep::SnQuadrature> own;
   const sweep::SnQuadrature& quad = quadrature(own);
-  const int nm = nm_;
-  TimingEngine engine(cfg_, problem_->grid(), nm);
+  TimingEngine engine(cfg_, problem_->grid(), nm_);
   const sweep::DiagonalObserver obs = [&](const sweep::DiagonalWork& w) {
     engine.on_diagonal(w);
   };

@@ -21,10 +21,11 @@
 // block barriers, and the per-iteration source rebuild pass.
 //
 // Two run modes produce identical timing (a test asserts it):
-//   * kFunctional  -- the physics really runs, always on the scalar
-//     line kernel (bit-identical to the SIMD bundle, so the kernel kind
-//     changes only the simulated time); the observer feeds the engine
-//     (execution-driven). Use for correctness and examples.
+//   * kFunctional  -- the physics really runs, always on the host chunk
+//     kernel sweep_chunk (bit-identical to the scalar line kernel, so
+//     the kernel kind changes only the simulated time); the observer
+//     feeds the engine (execution-driven). Use for correctness and
+//     examples.
 //   * kTraceDriven -- only the loop structure is replayed (fast; the
 //     benches use it for big sweeps).
 #pragma once
@@ -44,6 +45,12 @@
 
 namespace cellsweep::core {
 
+/// Local-store placement of the sweep: 4 KB of resident per-angle
+/// constants plus staging buffers sized for the largest chunk's working
+/// set. The runner, lint_deck and server admission all use it.
+LsPlacement sweep_placement(const CellSweepConfig& cfg,
+                            const sweep::Grid& grid, int nm);
+
 /// Timing engine: consumes DiagonalWork events in sweep order and
 /// re-hosts them on the workload-agnostic StreamingPipeline.
 class TimingEngine {
@@ -60,22 +67,13 @@ class TimingEngine {
   /// throws analysis::HazardError when protocol violations were found.
   RunReport finish() { return pipeline_.finish(); }
 
-  /// Current completion horizon (simulated seconds); monotone across
-  /// diagonals. Exposed for tests and pipeline diagnostics.
-  double horizon_seconds() const noexcept {
-    return pipeline_.horizon_seconds();
-  }
+  /// Current completion horizon; monotone across diagonals.
   sim::Tick horizon() const noexcept { return pipeline_.horizon(); }
 
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
   /// when this chip is one rank of a process-level decomposition.
   void gate(sim::Tick at) { pipeline_.gate(at); }
-
-  const cell::CellProcessor& machine() const noexcept {
-    return pipeline_.machine();
-  }
-  KernelCostModel& kernels() noexcept { return kernels_; }
 
  private:
   CellSweepConfig cfg_;
@@ -98,8 +96,6 @@ class CellSweep3D {
   /// Runs the configured stage and returns the report. kFunctional
   /// additionally solves the physics and fills the solve fields.
   RunReport run(RunMode mode = RunMode::kTraceDriven);
-
-  const CellSweepConfig& config() const noexcept { return cfg_; }
 
  private:
   RunReport run_on_ppe(RunMode mode);

@@ -6,7 +6,6 @@
 
 #include "analysis/hazard.h"
 #include "cellsim/observer.h"
-#include "util/aligned.h"
 
 namespace cellsweep::core {
 namespace {
@@ -27,6 +26,41 @@ void publish_pipeline(const cell::PipelineStats& p, sim::CounterSet& out) {
 }
 
 }  // namespace
+
+std::vector<std::size_t> LsPlacement::place(cell::LocalStore& ls,
+                                            int buffers) const {
+  for (const auto& [name, bytes] : resident) ls.allocate(name, bytes);
+  std::vector<std::size_t> offsets;
+  for (int b = 0; b < buffers; ++b)
+    offsets.push_back(
+        ls.allocate("chunk-buffer-" + std::to_string(b), buffer_bytes));
+  return offsets;
+}
+
+std::size_t LsPlacement::footprint(int buffers) const {
+  std::size_t bytes = static_cast<std::size_t>(buffers) *
+                      cell::LocalStore::padded(buffer_bytes);
+  for (const auto& region : resident)
+    bytes += cell::LocalStore::padded(region.second);
+  return bytes;
+}
+
+std::vector<ChunkDma> chunk_dmas(const StreamConfig& cfg,
+                                 const TransferPlan& plan) {
+  std::vector<ChunkDma> dmas;
+  if (cfg.buffers >= 2) {
+    dmas.push_back({"bulk-get", dma_request(cfg, plan, cell::DmaDir::kGet,
+                                            plan.bulk_get_bytes())});
+    dmas.push_back({"face-get", dma_request(cfg, plan, cell::DmaDir::kGet,
+                                            plan.face_get_bytes())});
+  } else {
+    dmas.push_back({"get", dma_request(cfg, plan, cell::DmaDir::kGet,
+                                       plan.get_bytes())});
+  }
+  dmas.push_back(
+      {"put", dma_request(cfg, plan, cell::DmaDir::kPut, plan.put_bytes())});
+  return dmas;
+}
 
 StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
                                      const LsPlacement& placement)
@@ -88,10 +122,8 @@ StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
     min_spes_ = std::clamp(cfg_.min_spes, 1, machine_.num_spes());
     claim_ = cfg_.spe_allocator->claim(min_spes_, machine_.num_spes(),
                                        cfg_.claim_weight, cfg_.claim_quota);
-    claimed_.assign(spes_.size(), 0);
-    for (const int id : claim_.ids)
-      claimed_[static_cast<std::size_t>(id)] = 1;
     min_claimed_ = max_claimed_ = claim_.count();
+    sync_claimed();
     // Start the cyclic cursor on our lowest claimed SPE so chunk 0
     // lands deterministically regardless of which SPEs we got.
     rr_spe_ = claim_.ids.front();
@@ -116,18 +148,11 @@ StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
     cell::LocalStore& ls = machine_.spe(s).local_store();
     ls.reset();
     if (observer_) observer_->on_ls_reset(s);
-    for (const auto& [name, bytes] : placement.resident) {
-      ls.allocate(name, bytes);
-      if (observer_)
-        observer_->on_ls_alloc(s, ls.regions().back(), ls.capacity());
-    }
-    for (int b = 0; b < cfg_.buffers; ++b) {
-      const std::size_t off = ls.allocate("chunk-buffer-" + std::to_string(b),
-                                          placement.buffer_bytes);
-      if (observer_)
-        observer_->on_ls_alloc(s, ls.regions().back(), ls.capacity());
-      if (s == 0) buffer_offsets_.push_back(off);
-    }
+    std::vector<std::size_t> offsets = placement.place(ls, cfg_.buffers);
+    if (observer_)
+      for (std::size_t r = 1; r < ls.regions().size(); ++r)
+        observer_->on_ls_alloc(s, ls.regions()[r], ls.capacity());
+    if (s == 0) buffer_offsets_ = std::move(offsets);
   }
   ls_high_water_ = machine_.spe(0).local_store().high_water();
 }
@@ -139,14 +164,30 @@ StreamingPipeline::~StreamingPipeline() {
     cfg_.spe_allocator->release(claim_);
 }
 
+int StreamingPipeline::spes_needed(std::size_t chunks) const {
+  const std::size_t buffers = static_cast<std::size_t>(cfg_.buffers);
+  return std::clamp(static_cast<int>((chunks + buffers - 1) / buffers),
+                    min_spes_, machine_.num_spes());
+}
+
+void StreamingPipeline::sync_claimed() {
+  claimed_.assign(claimed_.size(), 0);
+  for (const int id : claim_.ids) claimed_[static_cast<std::size_t>(id)] = 1;
+  min_claimed_ = std::min(min_claimed_, claim_.count());
+  max_claimed_ = std::max(max_claimed_, claim_.count());
+}
+
+std::size_t StreamingPipeline::wave_width() const {
+  std::size_t live = 0;
+  for (std::size_t s = 0; s < alive_.size(); ++s)
+    live += static_cast<std::size_t>(alive_[s] != 0 && claimed_[s] != 0);
+  return std::max<std::size_t>(live, 1) *
+         static_cast<std::size_t>(cfg_.buffers);
+}
+
 void StreamingPipeline::rebalance(std::size_t batch_chunks) {
   SpeAllocator& alloc = *cfg_.spe_allocator;
-  // SPEs this batch can actually feed: one chunk set per rotation slot.
-  const int need = std::clamp(
-      static_cast<int>((batch_chunks + static_cast<std::size_t>(cfg_.buffers) -
-                        1) /
-                       static_cast<std::size_t>(cfg_.buffers)),
-      min_spes_, machine_.num_spes());
+  const int need = spes_needed(batch_chunks);
   // The NOVA yield, pressure check and target computation in one
   // critical section inside the allocator: the old pressure() /
   // fair_share() / shrink() sequence could act on a waiter that had
@@ -157,11 +198,7 @@ void StreamingPipeline::rebalance(std::size_t batch_chunks) {
     // Slack returned: regrow opportunistically (denied under pressure).
     if (alloc.expand(claim_, need) > 0) ++rebalance_expands_;
   }
-  claimed_.assign(claimed_.size(), 0);
-  for (const int id : claim_.ids)
-    claimed_[static_cast<std::size_t>(id)] = 1;
-  min_claimed_ = std::min(min_claimed_, claim_.count());
-  max_claimed_ = std::max(max_claimed_, claim_.count());
+  sync_claimed();
 }
 
 void StreamingPipeline::memory_pass(const char* name, double bytes) {
@@ -262,34 +299,6 @@ void StreamingPipeline::trace_dma(int spe_index, const char* name,
   if (c.retries > 0) sink_->instant(t, "dma-retry", "fault", c.done);
 }
 
-cell::DmaRequest StreamingPipeline::make_request(const TransferPlan& plan,
-                                                 cell::DmaDir dir,
-                                                 std::size_t bytes_total)
-    const {
-  const cell::CellSpec& spec = machine_.spec();
-  cell::DmaRequest req;
-  req.dir = dir;
-  req.alignment = cfg_.aligned_rows ? 128 : 16;
-  req.banks_touched =
-      cfg_.bank_offsets ? spec.memory_banks : spec.banks_without_offsets;
-  req.total_bytes =
-      util::round_up(std::max<std::size_t>(bytes_total, 16), 16);
-  if (!cfg_.dma_lists) {
-    // One MFC command per row (the pre-"DMA lists" implementation).
-    req.as_list = false;
-    req.element_bytes = plan.row_bytes;
-  } else {
-    // One DMA-list command; element size is the configured
-    // granularity (512-byte rows shipped; Fig. 10 raises it).
-    req.as_list = true;
-    req.element_bytes = util::round_up(
-        std::clamp<std::size_t>(cfg_.dma_granularity, plan.row_bytes,
-                                spec.dma_max_bytes),
-        16);
-  }
-  return req;
-}
-
 void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
                                   const DependencyPolicy& deps,
                                   bool new_block) {
@@ -378,11 +387,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
   // full width a survivor would draw more than `buffers` chunks in one
   // wave and phase A would re-stage a buffer its phase-B kernel has
   // not consumed yet (the hazard checker flags exactly that).
-  std::size_t live = 0;
-  for (std::size_t s = 0; s < alive_.size(); ++s)
-    live += static_cast<std::size_t>(alive_[s] != 0 && claimed_[s] != 0);
-  std::size_t wave =
-      std::max<std::size_t>(live, 1) * static_cast<std::size_t>(cfg_.buffers);
+  std::size_t wave = wave_width();
   for (std::size_t w0 = 0; w0 < chunks.size(); w0 += wave) {
     // Chunk-granularity QoS, decided strictly between waves (a yielded
     // or abandoned SPE has no staging buffer in flight there). Both
@@ -397,18 +402,10 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
       // A strictly higher-weight claim is blocked: yield *now* rather
       // than at the next batch boundary. The remaining chunks move to
       // the surviving claim and the wave narrows with it.
-      const std::size_t rest = chunks.size() - w0;
-      const int need = std::clamp(
-          static_cast<int>(
-              (rest + static_cast<std::size_t>(cfg_.buffers) - 1) /
-              static_cast<std::size_t>(cfg_.buffers)),
-          min_spes_, machine_.num_spes());
+      const int need = spes_needed(chunks.size() - w0);
       if (cfg_.spe_allocator->shrink_to_fair_share(claim_, need, min_spes_)) {
         ++preempt_yields_;
-        claimed_.assign(claimed_.size(), 0);
-        for (const int id : claim_.ids)
-          claimed_[static_cast<std::size_t>(id)] = 1;
-        min_claimed_ = std::min(min_claimed_, claim_.count());
+        sync_claimed();
         // Reassign the not-yet-started chunks: roll their buffer
         // rotation back, restart the cyclic cursor on our lowest
         // surviving SPE (deterministic regardless of which ids were
@@ -426,12 +423,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
           chunks[i].extra = extra;
           ++spe.served;
         }
-        live = 0;
-        for (std::size_t s = 0; s < alive_.size(); ++s)
-          live +=
-              static_cast<std::size_t>(alive_[s] != 0 && claimed_[s] != 0);
-        wave = std::max<std::size_t>(live, 1) *
-               static_cast<std::size_t>(cfg_.buffers);
+        wave = wave_width();
         if (sink_)
           sink_->instant(ppe_track_, "preempt-yield", "sync", next_barrier_);
       }
@@ -474,8 +466,8 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
       if (cfg_.buffers >= 2) {
         const sim::Tick bulk_from = mfc.wait_tag(spe.request_at, put_tag);
         if (observer_) observer_->on_tag_wait(c.spe, put_tag, bulk_from);
-        cell::DmaRequest bulk_req =
-            make_request(tplan, cell::DmaDir::kGet, tplan.bulk_get_bytes());
+        cell::DmaRequest bulk_req = dma_request(
+            cfg_, tplan, cell::DmaDir::kGet, tplan.bulk_get_bytes());
         bulk_req.tag = get_tag;
         bulk_req.ls_offset = buf_off;
         bulk_req.ls_bytes = bulk_req.total_bytes;
@@ -483,8 +475,8 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
         trace_dma(c.spe, "dma-get-bulk", bulk_from, bulk, true);
         if (observer_)
           observer_->on_dma(c.spe, bulk_req, bulk_from, bulk, c.token);
-        cell::DmaRequest face_req =
-            make_request(tplan, cell::DmaDir::kGet, tplan.face_get_bytes());
+        cell::DmaRequest face_req = dma_request(
+            cfg_, tplan, cell::DmaDir::kGet, tplan.face_get_bytes());
         face_req.ls_to_ls = !centralized;  // SPE-to-SPE face forwarding
         face_req.tag = get_tag;
         face_req.ls_offset = buf_off + bulk_req.total_bytes;
@@ -506,7 +498,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
             mfc.wait_tag(std::max(grant, dep), put_tag);
         if (observer_) observer_->on_tag_wait(c.spe, put_tag, get_from);
         cell::DmaRequest get_req =
-            make_request(tplan, cell::DmaDir::kGet, tplan.get_bytes());
+            dma_request(cfg_, tplan, cell::DmaDir::kGet, tplan.get_bytes());
         get_req.tag = get_tag;
         get_req.ls_offset = buf_off;
         get_req.ls_bytes = get_req.total_bytes;
@@ -585,7 +577,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
       const TransferPlan& tplan = c.spec->plan;
       const unsigned put_tag = static_cast<unsigned>(cfg_.buffers + c.buf);
       cell::DmaRequest put_req =
-          make_request(tplan, cell::DmaDir::kPut, tplan.put_bytes());
+          dma_request(cfg_, tplan, cell::DmaDir::kPut, tplan.put_bytes());
       put_req.tag = put_tag;
       put_req.ls_offset = buffer_offsets_[static_cast<std::size_t>(c.buf)];
       put_req.ls_bytes = put_req.total_bytes;

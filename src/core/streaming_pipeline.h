@@ -29,6 +29,7 @@
 // even/odd red-black stencil onto it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -45,6 +46,7 @@
 #include "sim/counters.h"
 #include "sim/fault.h"
 #include "sim/trace.h"
+#include "util/aligned.h"
 #include "util/concurrency_check.h"
 
 namespace cellsweep::analysis {
@@ -67,13 +69,62 @@ class RunCancelled : public std::runtime_error {
 /// Local-store placement policy of one workload: named resident
 /// regions (constants, tables) allocated once per SPE, then
 /// StreamConfig::buffers staging buffers of @p buffer_bytes each. The
-/// pipeline performs the allocations on every SPE at construction and
-/// throws cell::LocalStoreOverflow when the budget does not fit --
-/// the same check the deck/spec linters run statically.
+/// pipeline places it on every SPE at construction, the linters on a
+/// fresh local store; server admission budgets its footprint().
 struct LsPlacement {
   std::vector<std::pair<std::string, std::size_t>> resident;
   std::size_t buffer_bytes = 0;
+
+  /// Allocates the resident regions, then @p buffers staging buffers,
+  /// on @p ls; returns the buffer offsets. Throws
+  /// cell::LocalStoreOverflow when they do not fit.
+  std::vector<std::size_t> place(cell::LocalStore& ls, int buffers) const;
+  /// Local-store bytes the placement occupies with @p buffers staging
+  /// buffers (each region padded as LocalStore::allocate pads it; the
+  /// code reservation not included).
+  std::size_t footprint(int buffers) const;
 };
+
+/// Builds the MFC command for one transfer class of @p plan: one
+/// command per row, or one DMA list whose element is the configured
+/// granularity -- at least one row, at most the command cap (a row
+/// above the cap keeps its size, so Mfc::validate rejects it). Inline:
+/// every DMA of the timing model is built here.
+inline cell::DmaRequest dma_request(const StreamConfig& cfg,
+                                    const TransferPlan& plan,
+                                    cell::DmaDir dir,
+                                    std::size_t bytes_total) {
+  cell::DmaRequest req;
+  req.dir = dir;
+  req.alignment = cfg.aligned_rows ? 128 : 16;
+  req.banks_touched =
+      cfg.bank_offsets ? cfg.chip.memory_banks : cfg.chip.banks_without_offsets;
+  req.total_bytes =
+      util::round_up(std::max<std::size_t>(bytes_total, 16), 16);
+  req.as_list = cfg.dma_lists;
+  req.element_bytes =
+      cfg.dma_lists
+          ? util::round_up(
+                std::max(std::min<std::size_t>(cfg.dma_granularity,
+                                               cfg.chip.dma_max_bytes),
+                         plan.row_bytes),
+                16)
+          : plan.row_bytes;
+  return req;
+}
+
+/// One MFC command of a chunk, named for diagnostics.
+struct ChunkDma {
+  const char* name;
+  cell::DmaRequest req;
+};
+
+/// The MFC commands the pipeline submits for one chunk of @p plan
+/// under @p cfg, in submission order: the bulk and face gets (double
+/// buffering) or one combined get (single buffering), then the
+/// writeback put. The linters validate exactly these.
+std::vector<ChunkDma> chunk_dmas(const StreamConfig& cfg,
+                                 const TransferPlan& plan);
 
 /// One chunk of streaming work, as the workload describes it: the DMA
 /// transfer plan (what must be staged and written back) plus the
@@ -175,9 +226,6 @@ class StreamingPipeline {
 
   /// Current completion horizon; monotone across batches.
   sim::Tick horizon() const noexcept { return next_barrier_; }
-  double horizon_seconds() const noexcept {
-    return sim::seconds_from_ticks(next_barrier_);
-  }
 
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
@@ -186,8 +234,6 @@ class StreamingPipeline {
     next_barrier_ = std::max(next_barrier_, at);
     reports_horizon_ = std::max(reports_horizon_, at);
   }
-
-  const cell::CellProcessor& machine() const noexcept { return machine_; }
 
   /// Installs the per-chunk kernel timing hook (may be empty).
   void set_chunk_hook(ChunkTimingHook hook) { chunk_hook_ = std::move(hook); }
@@ -223,10 +269,14 @@ class StreamingPipeline {
   /// Emits issue/queue/transfer spans for one DMA command.
   void trace_dma(int spe_index, const char* name, sim::Tick submitted,
                  const cell::DmaCompletion& c, bool to_memory);
-  /// Builds one MFC request for a transfer class of @p plan (per-row
-  /// commands or one DMA list at the configured granularity).
-  cell::DmaRequest make_request(const TransferPlan& plan, cell::DmaDir dir,
-                                std::size_t bytes_total) const;
+  /// SPEs @p chunks can feed (one chunk set per rotation slot), clamped
+  /// to [min_spes, chip width].
+  int spes_needed(std::size_t chunks) const;
+  /// Rebuilds claimed_ from claim_ and folds its size into the min/max
+  /// claim history.
+  void sync_claimed();
+  /// Chunks per wave: `buffers` for every SPE both alive and claimed.
+  std::size_t wave_width() const;
   /// Batch-boundary claim adjustment (allocator tenants only): under
   /// pressure yields down to min(need, fair share), with slack regrows
   /// toward `need` = ceil(batch chunks / buffers) clamped to

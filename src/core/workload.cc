@@ -63,8 +63,7 @@ void enumerate_sweep(const sweep::Grid& grid, int angles_per_octant,
 WorkloadTotals audit_workload(const sweep::Grid& grid, int angles_per_octant,
                               const CellSweepConfig& cell_cfg, int nm) {
   WorkloadTotals totals;
-  const std::size_t real_bytes =
-      cell_cfg.precision == Precision::kDouble ? 8 : 4;
+  const std::size_t real_bytes = bytes_per_real(cell_cfg.precision);
 
   for (int iter = 0; iter < cell_cfg.sweep.max_iterations; ++iter) {
     const bool fixup = iter >= cell_cfg.sweep.fixup_from_iteration;

@@ -9,9 +9,6 @@
 #include "core/metrics.h"
 #include "core/orchestrator.h"
 #include "core/streaming_pipeline.h"
-#include "core/workload.h"
-#include "sweep/kernel_simd.h"
-#include "sweep/plan.h"
 #include "util/units.h"
 #include "workloads/stencil/stencil.h"
 
@@ -20,10 +17,6 @@ namespace cellsweep::core {
 using util::MutexLock;
 
 namespace {
-
-std::size_t real_bytes_of(Precision p) {
-  return p == Precision::kDouble ? 8 : 4;
-}
 
 std::string tenant_label(int tenant) {
   return "tenant=\"" + std::to_string(tenant) + "\"";
@@ -203,8 +196,7 @@ void SolveServer::admit(Job& job) const {
   // outside the queue lock.
   CellSweepConfig cfg = base_;
   long long cells = 0;
-  std::size_t ls_bytes = 0;
-  const std::size_t rb = real_bytes_of(cfg.precision);
+  LsPlacement placement;
   if (job.req.kind == JobKind::kSweep) {
     try {
       job.deck = sweep::parse_deck_string(job.req.text);
@@ -218,14 +210,7 @@ void SolveServer::admit(Job& job) const {
                            "deck rejected by lint:\n" + diags.summary());
     const sweep::Grid& g = job.deck->problem.grid();
     cells = g.cells();
-    const sweep::SnQuadrature quad(job.deck->sn_order);
-    const int nm =
-        sweep::MomentTable(quad, 2, job.deck->nm_cap).nm();
-    ls_bytes = 4 * 1024 +
-               static_cast<std::size_t>(std::max(1, cfg.buffers)) *
-                   plan_chunk(ChunkShape{sweep::kBundleLines, g.it, nm, rb,
-                                         cfg.aligned_rows})
-                       .ls_buffer_bytes;
+    placement = sweep_placement(cfg, g, job.deck->moments());
   } else {
     stencil::StencilSpec spec;
     try {
@@ -238,12 +223,10 @@ void SolveServer::admit(Job& job) const {
       throw AdmissionError(AdmissionError::Reason::kLint,
                            "spec rejected by lint:\n" + diags.summary());
     cells = spec.cells();
-    ls_bytes = 1024 +
-               static_cast<std::size_t>(std::max(1, cfg.buffers)) *
-                   stencil::plan_block(spec, rb, cfg.aligned_rows)
-                       .ls_buffer_bytes;
+    placement = stencil::placement(spec, cfg);
     job.spec = std::make_shared<const stencil::StencilSpec>(std::move(spec));
   }
+  const std::size_t ls_bytes = placement.footprint(std::max(1, cfg.buffers));
   if (cfg_.grid_cell_budget > 0 && cells > cfg_.grid_cell_budget)
     throw AdmissionError(
         AdmissionError::Reason::kGridBudget,
@@ -504,7 +487,7 @@ std::shared_ptr<const CachedPlan> SolveServer::plan_for_sweep(
   hit = false;
   auto built = std::make_shared<CachedPlan>();
   auto quad = std::make_shared<sweep::SnQuadrature>(deck.sn_order);
-  built->nm = sweep::MomentTable(*quad, 2, deck.nm_cap).nm();
+  built->nm = deck.moments();
   if (cfg.use_spes) {
     // Warm the chunk-cost cache for every shape this deck can produce:
     // diagonals bundle into chunks of 1..kBundleLines lines, and the
@@ -543,7 +526,8 @@ JobResult SolveServer::run_sweep(Job& job) {
   cfg.quadrature = plan->quadrature.get();
   cfg.warm_kernels = plan->kernels.get();
 
-  CellSweep3D solver(deck.problem, cfg, deck.sn_order, 2, deck.nm_cap);
+  CellSweep3D solver(deck.problem, cfg, deck.sn_order, deck.l_max(),
+                     deck.nm_cap);
   JobResult r;
   r.id = job.id;
   r.name = job.req.name;

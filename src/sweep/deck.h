@@ -16,6 +16,7 @@
 // `region` lines overwrite boxes with later materials.
 #pragma once
 
+#include <algorithm>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -34,6 +35,18 @@ struct Deck {
   /// Where the deck came from ("<string>" unless loaded from a file);
   /// diagnostics (e.g. the deck linter) prefix findings with it.
   std::string source = "<string>";
+
+  /// Scattering order of the deck's moment table: the benchmark's P2,
+  /// raised to P3 (the table's highest) when a material scatters beyond
+  /// P2. Rows depend only on the moment index, so the order decides
+  /// only which moment counts are legal. Runners, linters and the solve
+  /// server all take l_max from here.
+  int l_max() const noexcept {
+    return std::clamp(problem.max_scattering_order(), 2, 3);
+  }
+  /// Flux moments the runners carry; throws std::invalid_argument when
+  /// the deck asks for more than the table holds.
+  int moments() const { return MomentTable::count(l_max(), nm_cap); }
 };
 
 /// Thrown with a line number and description on malformed decks.

@@ -101,15 +101,19 @@ double SnQuadrature::total_weight() const noexcept {
   return 8.0 * sum;
 }
 
-MomentTable::MomentTable(const SnQuadrature& quad, int l_max, int nm_cap)
-    : l_max_(l_max), mm_(quad.angles_per_octant()) {
+int MomentTable::count(int l_max, int nm_cap) {
   if (l_max < 0 || l_max > 3)
     throw std::invalid_argument("MomentTable: l_max must be 0..3");
-  nm_ = (l_max + 1) * (l_max + 1);
-  if (nm_cap < 0 || nm_cap > nm_)
+  const int full = (l_max + 1) * (l_max + 1);
+  if (nm_cap < 0 || nm_cap > full)
     throw std::invalid_argument("MomentTable: nm_cap out of range");
-  if (nm_cap > 0) nm_ = nm_cap;
+  return nm_cap > 0 ? nm_cap : full;
+}
 
+MomentTable::MomentTable(const SnQuadrature& quad, int l_max, int nm_cap)
+    : nm_(count(l_max, nm_cap)),
+      l_max_(l_max),
+      mm_(quad.angles_per_octant()) {
   l_of_n_.resize(nm_);
   l_of_n_[0] = 0;
   for (int n = 1; n < nm_ && n < 4; ++n) l_of_n_[n] = 1;

@@ -87,6 +87,11 @@ class MomentTable {
   /// @p nm_cap: if nonzero, keep only the first nm_cap moments.
   MomentTable(const SnQuadrature& quad, int l_max, int nm_cap = 0);
 
+  /// Moments a table of (@p l_max, @p nm_cap) carries, without building
+  /// it. Throws std::invalid_argument exactly when the constructor
+  /// would.
+  static int count(int l_max, int nm_cap);
+
   int nm() const noexcept { return nm_; }
   int l_max() const noexcept { return l_max_; }
 

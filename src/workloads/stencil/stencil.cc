@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/streaming_pipeline.h"
 #include "util/aligned.h"
 #include "util/thread_pool.h"
 
 namespace cellsweep::stencil {
 namespace {
-
-std::size_t real_bytes_of(core::Precision p) {
-  return p == core::Precision::kDouble ? 8 : 4;
-}
 
 /// Values of one parity in the index range [first, first + count).
 std::uint64_t parity_count(int first, int count, int parity) {
@@ -156,6 +151,16 @@ core::TransferPlan plan_block(const StencilSpec& spec,
   return plan;
 }
 
+core::LsPlacement placement(const StencilSpec& spec,
+                            const core::CellSweepConfig& cfg) {
+  core::LsPlacement p;
+  p.resident.emplace_back("stencil-constants", 1024);
+  p.buffer_bytes = plan_block(spec, core::bytes_per_real(cfg.precision),
+                              cfg.aligned_rows)
+                       .ls_buffer_bytes;
+  return p;
+}
+
 BlockCost block_cost(const StencilSpec& spec, int bi, int bj, int bk,
                      int color, const cell::CellSpec& chip,
                      core::Precision precision) {
@@ -205,18 +210,12 @@ CellStencil::CellStencil(const StencilSpec& spec,
 StencilReport CellStencil::run(core::RunMode mode, int threads,
                                util::ThreadPool* pool) {
   StencilReport rep;
-  const std::size_t rb = real_bytes_of(cfg_.precision);
+  const std::size_t rb = core::bytes_per_real(cfg_.precision);
 
-  // LS placement: 1 KB of resident kernel constants plus the rotating
-  // block staging buffers. The pipeline throws LocalStoreOverflow when
-  // the budget does not fit -- the same check lint_stencil runs
-  // statically.
-  const core::TransferPlan tplan =
-      plan_block(spec_, rb, cfg_.aligned_rows);
-  core::LsPlacement placement;
-  placement.resident.emplace_back("stencil-constants", 1024);
-  placement.buffer_bytes = tplan.ls_buffer_bytes;
-  core::StreamingPipeline pipeline(cfg_.stream(), placement);
+  // The pipeline throws LocalStoreOverflow when the placement does not
+  // fit -- the same check lint_stencil runs statically.
+  const core::TransferPlan tplan = plan_block(spec_, rb, cfg_.aligned_rows);
+  core::StreamingPipeline pipeline(cfg_, placement(spec_, cfg_));
 
   // Dependency policy: a block of this color phase reads the previous
   // phase's values of itself and its six face neighbors.

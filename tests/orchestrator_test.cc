@@ -59,6 +59,34 @@ TEST(Config, StageNamesDistinct) {
             std::string::npos);
 }
 
+TEST(Config, StageSlugsRoundTripAndUnknownNamesAreRejected) {
+  using OS = OptimizationStage;
+  // The 12 ladder slugs (the perfbench names), one per stage in order.
+  const char* const slugs[] = {
+      "ppe-gcc",       "ppe-xlc",      "spe-initial",   "spe-aligned",
+      "spe-buffered",  "spe-simd",     "spe-dmalists",  "spe-lspoke",
+      "future-bigdma", "future-distributed", "future-pipelineddp",
+      "future-single"};
+  for (int i = 0; i < 12; ++i)
+    EXPECT_EQ(parse_stage(slugs[i]), static_cast<OS>(i)) << slugs[i];
+  // The short CLI aliases.
+  EXPECT_EQ(parse_stage("ppe"), OS::kPpeXlc);
+  EXPECT_EQ(parse_stage("initial"), OS::kSpeInitial);
+  EXPECT_EQ(parse_stage("simd"), OS::kSpeSimd);
+  EXPECT_EQ(parse_stage("final"), OS::kSpeLsPoke);
+  for (const char* bad : {"bogus", "", "Final", "spe-lspoke "}) {
+    try {
+      (void)parse_stage(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      // The error names the valid stages.
+      EXPECT_NE(std::string(e.what()).find("future-single"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Orchestrator, FunctionalAndTraceDrivenTimingIdentical) {
   // The execution-driven and trace-driven modes must produce the same
   // simulated time: the timing depends only on the workload stream.

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "moment_decks.h"
 #include "server/plan_cache.h"
 #include "server/solve_server.h"
 #include "sim/fault.h"
@@ -211,6 +212,31 @@ TEST(SolveServer, AdmissionRejectsUnparsableInput) {
   EXPECT_EQ(reason_of(server, sreq), AdmissionError::Reason::kParse);
   EXPECT_EQ(server.stats().rejected, 2u);
   EXPECT_EQ(server.stats().submitted, 0u);
+}
+
+TEST(SolveServer, MomentDecksCompleteOrFailLintNeverThrowUntyped) {
+  // Admission and the run take the moment count from the same rule as
+  // the linter: a deck either runs to completion or is refused with
+  // kLint; no other exception may escape submit().
+  SolveServer server(ServerConfig{});
+  for (const test_decks::MomentDeck& md : test_decks::kMomentDecks) {
+    JobRequest req;
+    req.kind = JobKind::kSweep;
+    req.name = md.name;
+    req.text = md.text;
+    req.mode = RunMode::kTraceDriven;
+    try {
+      const int id = server.submit(req);
+      const JobResult r = server.wait(id);
+      EXPECT_TRUE(r.ok) << md.name << ": " << r.error;
+      EXPECT_TRUE(md.runs) << md.name;
+    } catch (const AdmissionError& e) {
+      EXPECT_EQ(e.reason(), AdmissionError::Reason::kLint) << md.name;
+      EXPECT_FALSE(md.runs) << md.name << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << md.name << ": untyped " << e.what();
+    }
+  }
 }
 
 TEST(SolveServer, AdmissionRejectsOverLsBudgetDeck) {
