@@ -8,14 +8,17 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 
 #include "cellsim/memory.h"
 #include "cellsim/mfc.h"
+#include "cellsim/observer.h"
 #include "cellsim/spu_pipeline.h"
 #include "core/kernel_timing.h"
 #include "core/orchestrator.h"
 #include "sweep/kernel.h"
 #include "sweep/kernel_simd.h"
+#include "sweep/plan.h"
 #include "sweep/problem.h"
 #include "sweep/sweeper.h"
 #include "util/aligned.h"
@@ -197,6 +200,41 @@ void BM_TimedRun50Cubed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TimedRun50Cubed)->Unit(benchmark::kMillisecond);
+
+// One 61-diagonal block of the 50^3 paper deck through the full
+// timing model (dispatch grants, Mfc::submit, Mic::submit, the wave
+// loop), reported as chunks/s. A bare observer keeps block replay off,
+// so every iteration simulates; this is the cost a block pays the
+// first time its key is seen.
+void BM_TimingModelBlock(benchmark::State& state) {
+  const sweep::Grid grid = sweep::Problem::benchmark_cube(50).grid();
+  core::CellSweepConfig cfg =
+      core::CellSweepConfig::from_stage(core::OptimizationStage::kSpeLsPoke);
+  cell::MachineObserver bare;
+  cfg.hazard = &bare;
+  core::TimingEngine engine(cfg, grid, sweep::kBenchmarkMoments);
+  const int diagonals =
+      sweep::ChunkPlan::diagonals_per_block(cfg.sweep, grid.jt);
+  std::int64_t chunks = 0;
+  for (int d = 0; d < diagonals; ++d)
+    chunks += core::chunks_for_lines(
+        sweep::ChunkPlan::lines_on_diagonal(cfg.sweep, grid.jt, d));
+  int kblock = 0;
+  for (auto _ : state) {
+    // Alternate K-blocks so that every pass opens a new block.
+    kblock ^= 1;
+    for (int d = 0; d < diagonals; ++d)
+      engine.on_diagonal(sweep::DiagonalWork{
+          1, 0, kblock, d,
+          sweep::ChunkPlan::lines_on_diagonal(cfg.sweep, grid.jt, d), grid.it,
+          false});
+  }
+  benchmark::DoNotOptimize(engine.horizon());
+  state.SetItemsProcessed(state.iterations() * chunks);
+  state.SetLabel(std::to_string(diagonals) + " diagonals, " +
+                 std::to_string(chunks) + " chunks");
+}
+BENCHMARK(BM_TimingModelBlock)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -35,20 +35,14 @@ void lint_machine(Diagnostics& diags, const core::CellSweepConfig& cfg,
                     " bytes do not fit: " + e.what());
   }
 
-  // MFC tag budget: gets use tags [0, buffers), puts [buffers,
-  // 2*buffers) -- the rotation must fit the CBEA's tag-group space.
-  if (2 * static_cast<unsigned>(buffers) > cell::kMfcTagGroups)
-    diags.error("tag-budget", "buffers " + std::to_string(buffers),
-                "buffer rotation needs " + std::to_string(2 * buffers) +
-                    " MFC tag groups; the CBEA provides " +
-                    std::to_string(cell::kMfcTagGroups));
+  // The rules the pipeline refuses a run for up front: the MFC tag
+  // budget of the buffer rotation and a whole-quadword DMA granularity
+  // (core::stream_config_findings).
+  for (const core::StreamConfigFinding& f : core::stream_config_findings(cfg))
+    diags.error(f.rule, f.where, f.message);
 
   // DMA command legality, judged by the real MFC validator on the same
   // requests the streaming pipeline would submit for one chunk.
-  if (cfg.dma_granularity % 16 != 0)
-    diags.error("dma-granularity",
-                "dma_granularity " + std::to_string(cfg.dma_granularity),
-                "DMA granularity must be a multiple of 16 bytes");
   cell::Eib eib(cfg.chip);
   cell::Mic mic(cfg.chip);
   cell::Mfc mfc(cfg.chip, &eib, &mic, "lint");

@@ -19,6 +19,7 @@
 #include "cellsim/spec.h"
 #include "cellsim/spu_pipeline.h"
 #include "cellsim/sync.h"
+#include "sim/state_visitor.h"
 #include "sim/time.h"
 
 namespace cellsweep::cell {
@@ -43,6 +44,16 @@ class Spe {
   void count_work_item() noexcept { ++work_items_; }
 
   void reset() noexcept;
+
+  /// Hands the SPU accounting and the MFC state to @p v (see
+  /// sim/state_visitor.h); the local store is laid out once per run
+  /// and not visited.
+  template <sim::StateVisitor V>
+  void visit_state(V& v) {
+    v.count(busy_);
+    v.count(work_items_);
+    mfc_.visit_state(v);
+  }
 
  private:
   int index_;
@@ -74,6 +85,15 @@ class CellProcessor {
 
   /// Clears all resource state between experiment configurations.
   void reset();
+
+  /// Hands every unit's state to @p v (see sim/state_visitor.h).
+  template <sim::StateVisitor V>
+  void visit_state(V& v) {
+    eib_.visit_state(v);
+    mic_.visit_state(v);
+    dispatch_.visit_state(v);
+    for (auto& spe : spes_) spe->visit_state(v);
+  }
 
  private:
   CellSpec spec_;

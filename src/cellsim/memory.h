@@ -15,6 +15,7 @@
 
 #include "cellsim/spec.h"
 #include "sim/resource.h"
+#include "sim/state_visitor.h"
 #include "sim/time.h"
 
 namespace cellsweep::sim {
@@ -91,6 +92,20 @@ class Mic {
     throttle_ = 0;
   }
 
+  /// Hands the healthy-path state to @p v (see sim/state_visitor.h).
+  /// The bank cursor only decides which bank an element is attributed
+  /// to, so it is visited with the per-bank counts it rotates.
+  template <sim::StateVisitor V>
+  void visit_state(V& v) {
+    port_.visit_state(v);
+    v.sum(logical_bytes_);
+    v.count(reads_);
+    v.count(writes_);
+    v.count(conflict_);
+    v.rotating_counts(bank_cursor_, spec_.memory_banks, bank_reads_.data(),
+                      bank_writes_.data());
+  }
+
  private:
   CellSpec spec_;
   sim::BandwidthResource port_;
@@ -134,6 +149,12 @@ class Eib {
   void publish_counters(sim::CounterSet& out) const;
 
   void reset() noexcept { ring_.reset(); }
+
+  /// Hands the ring's state to @p v (see sim/state_visitor.h).
+  template <sim::StateVisitor V>
+  void visit_state(V& v) {
+    ring_.visit_state(v);
+  }
 
  private:
   sim::BandwidthResource ring_;

@@ -24,6 +24,7 @@
 
 #include "cellsim/memory.h"
 #include "cellsim/spec.h"
+#include "sim/state_visitor.h"
 #include "sim/time.h"
 
 namespace cellsweep::sim {
@@ -172,6 +173,28 @@ class Mfc {
   int queue_depth() const noexcept { return depth_; }
 
   void reset() noexcept;
+
+  /// Hands the healthy-path state to @p v (see sim/state_visitor.h):
+  /// the queue slots and tag groups (0 = never used) and the command
+  /// counters. Fault-injection state is not visited; visitors only
+  /// model runs without an armed fault plan.
+  template <sim::StateVisitor V>
+  void visit_state(V& v) {
+    v.time_multiset(slots_.data(), depth_);
+    v.times_or_unused(tag_done_.data(), static_cast<int>(kMfcTagGroups));
+    v.counts(occupancy_hist_.data(), depth_);
+    v.count(commands_);
+    v.count(transfers_);
+    v.sum(bytes_);
+    v.count(get_commands_);
+    v.count(put_commands_);
+    v.count(list_commands_);
+    v.count(ls_to_ls_commands_);
+    v.count(queue_full_commands_);
+    v.count(queue_full_ticks_);
+    v.count(tag_waits_);
+    v.count(tag_wait_ticks_);
+  }
 
  private:
   CellSpec spec_;

@@ -91,6 +91,8 @@ struct PipelineStats {
   std::uint64_t block_stall_cycles = 0;
   std::uint64_t flops = 0;
 
+  bool operator==(const PipelineStats&) const = default;
+
   PipelineStats& operator+=(const PipelineStats& o) {
     kernels += o.kernels;
     cycles += o.cycles;

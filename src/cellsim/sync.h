@@ -25,6 +25,7 @@
 
 #include "cellsim/spec.h"
 #include "sim/resource.h"
+#include "sim/state_visitor.h"
 #include "sim/time.h"
 #include "util/concurrency_check.h"
 
@@ -77,6 +78,20 @@ class DispatchFabric {
   void publish_counters(sim::CounterSet& out) const;
 
   void reset() noexcept;
+
+  /// Hands the healthy-path state to @p v (see sim/state_visitor.h).
+  /// The servers' free times are floor times: grants are requested at
+  /// or after the dispatch release and reports at or after a put that
+  /// depends on the block barrier, so with the barrier as reference a
+  /// server idle at the barrier is indistinguishable from any other.
+  template <sim::StateVisitor V>
+  void visit_state(V& v) {
+    ppe_mailbox_.visit_state(v);
+    ppe_poke_.visit_state(v);
+    atomic_unit_.visit_state(v);
+    v.count(grants_);
+    v.count(reports_);
+  }
 
  private:
   /// Simulated time is advanced by exactly one tenant thread; the

@@ -68,12 +68,15 @@ class TimingEngine {
   RunReport finish() { return pipeline_.finish(); }
 
   /// Current completion horizon; monotone across diagonals.
-  sim::Tick horizon() const noexcept { return pipeline_.horizon(); }
+  sim::Tick horizon() { return pipeline_.horizon(); }
 
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
   /// when this chip is one rank of a process-level decomposition.
   void gate(sim::Tick at) { pipeline_.gate(at); }
+
+  /// Blocks the pipeline replayed instead of simulating them.
+  SegmentMemoStats memo_stats() const { return pipeline_.memo_stats(); }
 
  private:
   CellSweepConfig cfg_;

@@ -6,6 +6,7 @@
 
 #include "analysis/hazard.h"
 #include "cellsim/observer.h"
+#include "core/segment_memo.h"
 
 namespace cellsweep::core {
 namespace {
@@ -45,6 +46,22 @@ std::size_t LsPlacement::footprint(int buffers) const {
   return bytes;
 }
 
+std::vector<StreamConfigFinding> stream_config_findings(
+    const StreamConfig& cfg) {
+  std::vector<StreamConfigFinding> out;
+  const int buffers = std::max(cfg.buffers, 1);
+  if (2 * static_cast<unsigned>(buffers) > cell::kMfcTagGroups)
+    out.push_back({"tag-budget", "buffers " + std::to_string(buffers),
+                   "buffer rotation needs " + std::to_string(2 * buffers) +
+                       " MFC tag groups; the CBEA provides " +
+                       std::to_string(cell::kMfcTagGroups)});
+  if (cfg.dma_granularity % 16 != 0)
+    out.push_back({"dma-granularity",
+                   "dma_granularity " + std::to_string(cfg.dma_granularity),
+                   "DMA granularity must be a multiple of 16 bytes"});
+  return out;
+}
+
 std::vector<ChunkDma> chunk_dmas(const StreamConfig& cfg,
                                  const TransferPlan& plan) {
   std::vector<ChunkDma> dmas;
@@ -68,6 +85,9 @@ StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
       machine_(cfg.chip),
       spes_(cfg.chip.num_spes),
       sink_(cfg.trace_sink) {
+  if (const auto findings = stream_config_findings(cfg); !findings.empty())
+    throw StreamConfigError("StreamingPipeline: " + findings.front().where +
+                            ": " + findings.front().message);
   // A time-sliced profiler interposes on the trace stream: the engine
   // emits into the profiler, which samples utilization windows and
   // forwards every event to the plain sink (so both can be attached).
@@ -155,6 +175,13 @@ StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
     if (s == 0) buffer_offsets_ = std::move(offsets);
   }
   ls_high_water_ = machine_.spe(0).local_store().high_water();
+
+  // Block replay needs every simulated event to be unobserved and the
+  // chip to be ours alone, with no fault decisions keyed to the event
+  // sequence.
+  if (!sink_ && !observer_ && !fault_plan_.enabled() && !cfg_.spe_allocator &&
+      !cfg_.cancel)
+    memo_ = std::make_unique<SegmentMemo>();
 }
 
 StreamingPipeline::~StreamingPipeline() {
@@ -201,8 +228,39 @@ void StreamingPipeline::rebalance(std::size_t batch_chunks) {
   sync_claimed();
 }
 
+void StreamingPipeline::flush_segment() {
+  if (memo_) memo_->flush(*this);
+}
+
+sim::Tick StreamingPipeline::horizon() {
+  flush_segment();
+  return next_barrier_;
+}
+
+void StreamingPipeline::gate(sim::Tick at) {
+  flush_segment();
+  next_barrier_ = std::max(next_barrier_, at);
+  reports_horizon_ = std::max(reports_horizon_, at);
+}
+
+void StreamingPipeline::set_chunk_hook(ChunkTimingHook hook) {
+  flush_segment();
+  chunk_hook_ = std::move(hook);
+  if (chunk_hook_) memo_.reset();
+}
+
+SegmentMemoStats StreamingPipeline::memo_stats() const {
+  return memo_ ? memo_->stats() : SegmentMemoStats{};
+}
+
 void StreamingPipeline::memory_pass(const char* name, double bytes) {
   confined_.check("StreamingPipeline::memory_pass");
+  if (memo_ && memo_->defer_pass(name, bytes)) return;
+  flush_segment();
+  simulate_pass(name, bytes);
+}
+
+void StreamingPipeline::simulate_pass(const char* name, double bytes) {
   // One streaming pass over main memory (the sweep's source-moment
   // rebuild, the stencil's residual reduction). Bandwidth-bound; the
   // arithmetic is fully pipelined underneath. Serializes: the pass
@@ -303,6 +361,19 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
                                   const DependencyPolicy& deps,
                                   bool new_block) {
   confined_.check("StreamingPipeline::run_batch");
+  if (memo_) {
+    // A new block closes the deferred one; a batch the open block
+    // cannot take runs after it.
+    if (new_block) flush_segment();
+    if (memo_->defer_batch(specs, deps, new_block)) return;
+    flush_segment();
+  }
+  simulate_batch(specs, deps, new_block);
+}
+
+void StreamingPipeline::simulate_batch(
+    const std::vector<StreamChunkSpec>& specs, const DependencyPolicy& deps,
+    bool new_block) {
   // A new pipeline block starts behind everything outstanding (the
   // sweep's blocks are sequential -- the paper's sweep() processes
   // them in order) and forgets the upstream chunk history.
@@ -621,6 +692,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
 
 RunReport StreamingPipeline::finish() {
   confined_.check("StreamingPipeline::finish");
+  flush_segment();
   RunReport r;
   const sim::Tick end = next_barrier_;
   if (observer_) observer_->on_run_end(end);

@@ -45,6 +45,7 @@
 #include "core/workload.h"
 #include "sim/counters.h"
 #include "sim/fault.h"
+#include "sim/state_visitor.h"
 #include "sim/trace.h"
 #include "util/aligned.h"
 #include "util/concurrency_check.h"
@@ -56,6 +57,16 @@ class HazardChecker;
 
 namespace cellsweep::core {
 
+class SegmentMemo;
+
+/// Segment replay counts of one pipeline (see core/segment_memo.h).
+/// Read-only diagnostics: not part of any report, counter tree or
+/// metrics document.
+struct SegmentMemoStats {
+  std::uint64_t replayed = 0;   ///< segments whose key was seen before
+  std::uint64_t simulated = 0;  ///< segments simulated (new keys)
+};
+
 /// Thrown by run_batch when StreamConfig::cancel reads true at a wave
 /// boundary: the run aborts cooperatively between chunks (never
 /// mid-wave -- a yielded staging buffer could still be in flight). The
@@ -65,6 +76,29 @@ class RunCancelled : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Thrown by the StreamingPipeline constructor, before anything runs,
+/// when the configuration breaks a rule of stream_config_findings().
+class StreamConfigError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// One machine rule a StreamConfig breaks, named by its lint rule id.
+struct StreamConfigFinding {
+  const char* rule;  ///< "dma-granularity" or "tag-budget"
+  std::string where;
+  std::string message;
+};
+
+/// The rules @p cfg breaks whatever the workload: a DMA granularity
+/// that is not a whole number of quadwords (dma_request would round it
+/// up), and a buffer rotation needing more MFC tag groups than the
+/// CBEA provides (gets use tags [0, buffers), puts [buffers,
+/// 2*buffers)). lint_deck and lint_stencil report every finding; the
+/// pipeline refuses the run with StreamConfigError.
+std::vector<StreamConfigFinding> stream_config_findings(
+    const StreamConfig& cfg);
 
 /// Local-store placement policy of one workload: named resident
 /// regions (constants, tables) allocated once per SPE, then
@@ -183,7 +217,8 @@ using ChunkTimingHook =
 class StreamingPipeline {
  public:
   /// Builds the machine, attaches observability and faults, and
-  /// performs the LS placement on every SPE. Throws
+  /// performs the LS placement on every SPE. Throws StreamConfigError
+  /// first when stream_config_findings(cfg) is not empty,
   /// cell::LocalStoreOverflow when the placement exceeds the local
   /// store and sim::FaultError when the fault plan disables every SPE.
   /// With cfg.spe_allocator set, additionally claims SPEs from the
@@ -209,6 +244,12 @@ class StreamingPipeline {
   /// the wave narrows. Without a cancel flag or a higher-weight waiter
   /// both checks are pure observation and the batch is byte-identical
   /// to the pre-QoS arithmetic.
+  ///
+  /// Without observation attached (see core/segment_memo.h) a block is
+  /// deferred until the next one opens and replayed when it repeats an
+  /// earlier block from an equivalent machine state: results are
+  /// bit-identical, but a deferred batch's errors surface at the next
+  /// new_block batch, horizon(), gate() or finish().
   void run_batch(const std::vector<StreamChunkSpec>& specs,
                  const DependencyPolicy& deps, bool new_block);
 
@@ -224,21 +265,36 @@ class StreamingPipeline {
   /// analysis::HazardError when protocol violations were found.
   RunReport finish();
 
-  /// Current completion horizon; monotone across batches.
-  sim::Tick horizon() const noexcept { return next_barrier_; }
+  /// Current completion horizon; monotone across batches. Simulates a
+  /// deferred block first.
+  sim::Tick horizon();
 
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
   /// when this chip is one rank of a process-level decomposition.
-  void gate(sim::Tick at) {
-    next_barrier_ = std::max(next_barrier_, at);
-    reports_horizon_ = std::max(reports_horizon_, at);
-  }
+  void gate(sim::Tick at);
 
-  /// Installs the per-chunk kernel timing hook (may be empty).
-  void set_chunk_hook(ChunkTimingHook hook) { chunk_hook_ = std::move(hook); }
+  /// Installs the per-chunk kernel timing hook (may be empty). A
+  /// non-empty hook turns block replay off: it must see every chunk.
+  void set_chunk_hook(ChunkTimingHook hook);
+
+  /// Blocks replayed and simulated so far (zero with replay off).
+  SegmentMemoStats memo_stats() const;
 
  private:
+  friend class SegmentMemo;
+
+  /// run_batch and memory_pass without deferral.
+  void simulate_batch(const std::vector<StreamChunkSpec>& specs,
+                      const DependencyPolicy& deps, bool new_block);
+  void simulate_pass(const char* name, double bytes);
+  /// Replays or simulates the deferred block, if any.
+  void flush_segment();
+  /// Hands the pipeline's and the machine's state to @p v (defined
+  /// beside its only caller, core/segment_memo.cc).
+  template <sim::StateVisitor V>
+  void visit_state(V& v);
+
   struct SpeClock {
     sim::Tick request_at = 0;   ///< ready to ask for the next chunk
     sim::Tick compute_free = 0; ///< SPU free for the next kernel
@@ -357,6 +413,9 @@ class StreamingPipeline {
   /// Chunk-granularity yields to a higher-weight waiter (mid-batch, at
   /// wave boundaries), as opposed to the batch-boundary rebalances.
   std::uint64_t preempt_yields_ = 0;
+
+  /// Block replay (null when observation or QoS is attached).
+  std::unique_ptr<SegmentMemo> memo_;
 };
 
 }  // namespace cellsweep::core

@@ -64,6 +64,8 @@ struct TransferPlan {
   /// Local-store bytes of one staging buffer for this chunk (streamed
   /// rows plus the q/Phi scratch lines the kernel needs).
   std::size_t ls_buffer_bytes = 0;
+
+  bool operator==(const TransferPlan&) const = default;
 };
 
 /// Computes the transfer plan for a chunk under the given config.

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/state_visitor.h"
 #include "sim/time.h"
 
 namespace cellsweep::sim {
@@ -60,6 +61,18 @@ class BandwidthResource {
 
   void reset() noexcept;
 
+  /// Hands the link's state to @p v (see sim/state_visitor.h). The
+  /// byte total sums whole payloads on every link but the MIC port,
+  /// which sums efficiency-inflated occupancies and never exposes them.
+  template <StateVisitor V>
+  void visit_state(V& v) {
+    v.time(free_at_);
+    v.count(busy_);
+    v.count(wait_);
+    v.sum(bytes_);
+    v.count(requests_);
+  }
+
  private:
   std::string name_;
   double rate_;
@@ -88,6 +101,15 @@ class LatencyServer {
   const std::string& name() const noexcept { return name_; }
 
   void reset() noexcept;
+
+  /// Hands the server's state to @p v (see sim/state_visitor.h).
+  /// free_at_ is only read as max(request, free_at_); the owner
+  /// guarantees that requests never precede the visitor's reference.
+  template <StateVisitor V>
+  void visit_state(V& v) {
+    v.floor_time(free_at_);
+    v.count(requests_);
+  }
 
  private:
   std::string name_;

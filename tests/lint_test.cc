@@ -166,6 +166,7 @@ class FirstChunkDmas : public cell::MachineObserver {
 
 /// What one runner did under one configuration.
 struct RunOutcome {
+  bool refused = false;  ///< StreamConfigError before anything ran
   bool ls_overflow = false;
   bool dma_error = false;
   std::vector<cell::DmaRequest> dmas;  ///< first chunk's commands
@@ -192,24 +193,32 @@ std::vector<core::CellSweepConfig> agreement_configs() {
   return out;
 }
 
-/// Checks one (lint verdict, runner outcome) pair: ls-budget is reported
-/// exactly when the runner's pipeline constructor overflows the local
-/// store, a DMA the runner refuses was flagged by lint, and the
+/// Checks one (lint verdict, runner outcome) pair: the pipeline refuses
+/// the run up front exactly when lint reports dma-granularity or
+/// tag-budget, and then submits nothing; otherwise ls-budget is reported
+/// exactly when the pipeline constructor overflows the local store,
+/// dma-shape exactly when the runner's MFC rejects a command, and the
 /// commands lint validates for one chunk are the ones the pipeline
 /// submitted for its first chunk, field by field.
 void expect_agreement(const analysis::Diagnostics& diags,
                       const core::CellSweepConfig& cfg,
                       const core::TransferPlan& plan, const RunOutcome& run,
                       const std::string& label) {
+  EXPECT_EQ(has_rule(diags, "dma-granularity") || has_rule(diags, "tag-budget"),
+            run.refused)
+      << label << ":\n"
+      << diags.summary();
+  if (run.refused) {
+    EXPECT_TRUE(run.dmas.empty()) << label;
+    return;
+  }
   EXPECT_EQ(has_rule(diags, "ls-budget"), run.ls_overflow)
       << label << ":\n"
       << diags.summary();
-  if (run.dma_error) {
-    EXPECT_TRUE(has_rule(diags, "tag-budget") || has_rule(diags, "dma-shape"))
-        << label << ":\n"
-        << diags.summary();
-  }
   if (run.ls_overflow) return;
+  EXPECT_EQ(has_rule(diags, "dma-shape"), run.dma_error)
+      << label << ":\n"
+      << diags.summary();
   const std::vector<core::ChunkDma> linted = core::chunk_dmas(cfg, plan);
   ASSERT_EQ(linted.size(), run.dmas.size()) << label;
   for (std::size_t i = 0; i < linted.size(); ++i) {
@@ -252,6 +261,8 @@ TEST(LintAgreement, SweepLintMatchesTheTimingEngine) {
                                 fed = true;
                                 engine.on_diagonal(w);
                               });
+      } catch (const core::StreamConfigError&) {
+        run.refused = true;
       } catch (const cell::LocalStoreOverflow&) {
         run.ls_overflow = true;
       } catch (const cell::DmaError&) {
@@ -285,6 +296,8 @@ TEST(LintAgreement, StencilLintMatchesTheStencilRunner) {
       RunOutcome run;
       try {
         stencil::CellStencil(spec, cfg).run(core::RunMode::kTraceDriven);
+      } catch (const core::StreamConfigError&) {
+        run.refused = true;
       } catch (const cell::LocalStoreOverflow&) {
         run.ls_overflow = true;
       } catch (const cell::DmaError&) {
